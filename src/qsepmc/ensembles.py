@@ -21,8 +21,13 @@ HS state                     one rank-k Ginibre
 Bures state                  one rank-k Ginibre, then one Haar unitary
 ===========================  =============================
 
-Retries are astronomically rare; when none occur, each sample's draw count is
-fixed, so a stream position identifies a sample exactly.
+A draw whose realized numerical rank (``linalg.RANK_RTOL``) misses the target
+is rejected and redrawn whole.  For full-rank Bures states that happens to
+about 3.2e-4 of 2x2 and 5.4e-4 of 2x3 draws, i.e. about 1.3 and 2.2 times
+per 4096-state batch, when (I + U) is nearly singular; for every other
+ensemble it is astronomically rare, as are pivot and QR retries.  A rejected
+draw consumes exactly the draws of an accepted one, so only pivot and QR
+retries change the draw count of an attempt.
 """
 
 from __future__ import annotations
@@ -225,55 +230,92 @@ def uniform_draws_per_sample(spec: EnsembleSpec) -> int:
 
 
 def sample_states(spec: EnsembleSpec, rng: RngStream, count: int) -> np.ndarray:
-    """``count`` states as a (count, n, n) stack, bit-identical to sequential
-    :func:`sample_state` calls on the same stream.
+    """``count`` states as a (count, n, n) stack: the same states, and the
+    same final stream position, as ``count`` sequential :func:`sample_state`
+    calls on the same stream.
 
-    The fast path draws and transforms the whole batch with stacked kernels;
-    if any draw in the batch would need a retry (ill-conditioned pivot,
-    singular QR input, rank collapse), the stream is rewound and the batch is
-    replayed sample by sample, which is the defining semantics.
+    Each round draws one retry-free attempt per missing state with stacked
+    kernels.  A rank-rejected attempt is dropped, just as :func:`sample_state`
+    drops it and goes on to its next attempt, and the next round draws the
+    shortfall.  Only an irregular attempt (ill-conditioned pivot or singular
+    QR input) consumes a different number of draws: the stream is rewound to
+    where that sample's first attempt began and :func:`sample_state` draws
+    that one sample.  No batch is ever replayed as a whole.  After
+    RETRY_LIMIT consecutive rejections for one sample, counted across rounds,
+    RankCollapse is raised at the same stream position as sequentially.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    snapshot = rng.state
-    states = _sample_states_fast(spec, rng, count)
-    if states is None:
-        rng.state = snapshot
-        n = spec.dim
-        states = np.empty((count, n, n), dtype=complex)
-        for i in range(count):
-            states[i] = sample_state(spec, rng).matrix
-    return states
+    out = None
+    filled = 0
+    # The pending sample is the next one to fill.  So far it has had
+    # ``rejected`` attempts; its first one is attempt ``pending[1]`` of the
+    # round that began at stream snapshot ``pending[0]``.
+    rejected = 0
+    while filled < count:
+        start = rng.state
+        if rejected == 0:
+            pending = (start, 0)
+        rows = count - filled
+        states, accepted = _attempts(spec, rng, rows)
+        if out is None and accepted.size == count and accepted.all():
+            return states
+        if out is None:
+            out = np.empty((count, spec.dim, spec.dim), dtype=complex)
+        keep = np.flatnonzero(accepted)
+        runs = np.diff(np.concatenate(([-1 - rejected], keep, [accepted.size]))) - 1
+        collapsed = np.flatnonzero(runs >= RETRY_LIMIT)
+        if collapsed.size:
+            keep = keep[: collapsed[0]]
+        np.take(states, keep, axis=0, out=out[filled : filled + keep.size])
+        filled += keep.size
+        if keep.size:
+            pending = (start, int(keep[-1]) + 1)
+        if collapsed.size or accepted.size < rows:
+            # Attempt accepted.size is irregular, so only the sequential
+            # sampler knows how many draws it takes, or the pending sample
+            # ran out of retries and sample_state raises RankCollapse.
+            snapshot, offset = pending
+            rng.state = snapshot
+            rng.uniforms(offset * uniform_draws_per_sample(spec))
+            out[filled] = sample_state(spec, rng).matrix
+            filled += 1
+            rejected = 0
+        else:
+            rejected = int(runs[-1])
+    return out
 
 
-def _sample_states_fast(spec: EnsembleSpec, rng: RngStream, count: int):
-    """Batched sampling; returns None when any sample needs a retry."""
+def _attempts(spec: EnsembleSpec, rng: RngStream, rows: int):
+    """Draw ``rows`` retry-free attempts as one stack.
+
+    Returns the states of the attempts before the first irregular one
+    (ill-conditioned pivot or singular QR input) and a mask of those with
+    the target numerical rank.  Attempts from the first irregular one on are
+    dropped, because each of them starts at an unknown stream position.
+    """
     n, k = spec.dim, spec.rank
     m = n - k
     d_z = 2 * n * n if k == n else 2 * (k * k + 2 * k * m)
-    u = rng.uniforms((count, uniform_draws_per_sample(spec)))
+    u = rng.uniforms((rows, uniform_draws_per_sample(spec)))
 
-    z_entries = complex_normals_from_uniforms(u[:, :d_z].reshape(count, -1, 2))
-    if k == n:
-        z = z_entries.reshape(count, n, n)
-    else:
-        a = z_entries[:, : k * k].reshape(count, k, k)
-        b = z_entries[:, k * k : k * k + k * m].reshape(count, k, m)
-        c = z_entries[:, k * k + k * m :].reshape(count, m, k)
-        if not _pivot_ok(a).all():
-            return None
-        z = assemble_rank_deficient(a, b, c)
-
+    z_entries = complex_normals_from_uniforms(u[:, :d_z].reshape(rows, -1, 2))
+    regular = np.ones(rows, dtype=bool)
+    if k < n:
+        a = z_entries[:, : k * k].reshape(rows, k, k)
+        b = z_entries[:, k * k : k * k + k * m].reshape(rows, k, m)
+        c = z_entries[:, k * k + k * m :].reshape(rows, m, k)
+        regular &= _pivot_ok(a)
     if spec.measure == "bures":
-        g = complex_normals_from_uniforms(u[:, d_z:].reshape(count, n, n, 2))
+        g = complex_normals_from_uniforms(u[:, d_z:].reshape(rows, n, n, 2))
         q, diag = linalg._qr_phase_fixed(g)
         scale = np.abs(g).max(axis=(-2, -1))
-        if np.any(np.abs(diag).min(axis=-1) < linalg.QR_SINGULAR_RTOL * scale):
-            return None
-        states = bures_state(z, q)
-    else:
-        states = hs_state(z)
+        regular &= np.abs(diag).min(axis=-1) >= linalg.QR_SINGULAR_RTOL * scale
 
-    if np.any(linalg.numerical_rank(states) != k):
-        return None
-    return states
+    stop = rows if regular.all() else int(np.argmin(regular))
+    if k == n:
+        z = z_entries[:stop].reshape(stop, n, n)
+    else:
+        z = assemble_rank_deficient(a[:stop], b[:stop], c[:stop])
+    states = bures_state(z, q[:stop]) if spec.measure == "bures" else hs_state(z)
+    return states, linalg.numerical_rank(states) == k

@@ -189,24 +189,101 @@ def test_batched_matches_per_sample(spec):
     assert np.array_equal(batch, seq)
 
 
-def test_batch_falls_back_on_rank_collapse(monkeypatch):
+def _assert_matches_sequential(spec, seed, count):
+    """sample_states equals sequential sample_state in states and final draws."""
+    rng = RngStream(seed, 0)
+    batch = sample_states(spec, rng, count)
+    ref = RngStream(seed, 0)
+    seq = np.stack([sample_state(spec, ref).matrix for _ in range(count)])
+    assert np.array_equal(batch, seq)
+    assert rng.draws == ref.draws
+    return rng.draws
+
+
+def test_full_bures_batch_with_rank_rejections_matches_sequential():
+    # about 2 of 4096 Bures 2x3 draws are rank-rejected; the stream must
+    # move past each one exactly as the sequential sampler does
+    spec = EnsembleSpec("bures", 2, 3, 6)
+    draws = _assert_matches_sequential(spec, 7, 4096)
+    assert draws > uniform_draws_per_sample(spec) * 4096
+
+
+def _force_pivot_retries(monkeypatch):
+    """Also reject every pivot block whose first entry has |real part| < 0.05."""
     from qsepmc import ensembles
 
-    spec = EnsembleSpec("hs", 2, 2, 4)
-    want = sample_states(spec, RngStream(61, 0), 32)
+    real = ensembles._pivot_ok
+    monkeypatch.setattr(
+        ensembles, "_pivot_ok", lambda a: real(a) & (np.abs(a[..., 0, 0].real) >= 0.05)
+    )
 
-    calls = {"n": 0}
-    real_fast = ensembles._sample_states_fast
 
-    def flaky(spec_, rng_, count_):
-        calls["n"] += 1
-        real_fast(spec_, rng_, count_)  # consume the stream like the real path
-        return None
+IRREGULAR_CASES = [
+    (EnsembleSpec("hs", 2, 2, 3), "pivot"),
+    (EnsembleSpec("bures", 2, 3, 3), "pivot"),
+    (EnsembleSpec("bures", 2, 3, 3), "qr"),
+    (EnsembleSpec("bures", 2, 2, 4), "qr"),
+    (EnsembleSpec("bures", 2, 3, 6), "qr"),
+]
 
-    monkeypatch.setattr(ensembles, "_sample_states_fast", flaky)
-    got = sample_states(spec, RngStream(61, 0), 32)
-    assert calls["n"] == 1
-    assert np.array_equal(got, want)
+
+@pytest.mark.parametrize(
+    "spec,force",
+    IRREGULAR_CASES,
+    ids=[f"{s.measure}-{s.d_A}x{s.d_B}-r{s.rank}-{f}" for s, f in IRREGULAR_CASES],
+)
+def test_irregular_attempts_match_sequential(monkeypatch, spec, force):
+    # Irregular attempts (pivot or QR retries) take more draws than a regular
+    # one; together with frequent rank rejections they exercise the rewind
+    # to the pending sample's first attempt, also across rounds.
+    from qsepmc import ensembles
+
+    if force == "pivot":
+        _force_pivot_retries(monkeypatch)
+    else:
+        monkeypatch.setattr(linalg, "QR_SINGULAR_RTOL", 0.1)
+    real_rank = linalg.numerical_rank
+
+    def rank(m, rel_tol=linalg.RANK_RTOL):
+        # rank-reject every state whose first diagonal entry is below 0.05
+        return np.where(np.asarray(m)[..., 0, 0].real < 0.05, -1, real_rank(m, rel_tol))
+
+    monkeypatch.setattr(linalg, "numerical_rank", rank)
+    per_sample = []
+    real_sample_state = ensembles.sample_state
+    monkeypatch.setattr(
+        ensembles, "sample_state", lambda *a: per_sample.append(1) or real_sample_state(*a)
+    )
+    draws = _assert_matches_sequential(spec, 11, 512)
+    assert per_sample  # the irregular-attempt path ran
+    assert draws > uniform_draws_per_sample(spec) * 512
+
+
+@pytest.mark.parametrize(
+    "spec", [EnsembleSpec("hs", 2, 2, 4), EnsembleSpec("hs", 2, 2, 3)], ids=["hs-2x2-r4", "hs-2x2-r3"]
+)
+def test_batch_rank_collapse_at_sequential_position(monkeypatch, spec):
+    # The stream's first RETRY_LIMIT attempts are rank-rejected and the rest
+    # accepted.  Rejections of one sample count across rounds of 3 attempts,
+    # and pivot retries among them (forced at rank 3) do not restart the
+    # count, so the batch raises exactly where sequential sampling raises.
+    _force_pivot_retries(monkeypatch)
+    first = RngStream(3, 0)
+    doomed = [sample_state(spec, first).matrix[0, 0].real for _ in range(RETRY_LIMIT)]
+    real_rank = linalg.numerical_rank
+
+    def rank(m, rel_tol=linalg.RANK_RTOL):
+        return np.where(np.isin(np.asarray(m)[..., 0, 0].real, doomed), -1, real_rank(m, rel_tol))
+
+    monkeypatch.setattr(linalg, "numerical_rank", rank)
+    rng, ref = RngStream(3, 0), RngStream(3, 0)
+    with pytest.raises(RankCollapse):
+        sample_states(spec, rng, 3)
+    with pytest.raises(RankCollapse):
+        sample_state(spec, ref)
+    assert rng.draws == ref.draws == first.draws
+    # pivot retries happened at rank 3 only
+    assert (ref.draws > RETRY_LIMIT * uniform_draws_per_sample(spec)) == (spec.rank < spec.dim)
 
 
 def test_sample_state_rank_collapse_budget(monkeypatch):
