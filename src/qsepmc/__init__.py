@@ -14,8 +14,6 @@ from .ensembles import (
     bures_state,
     hs_state,
     sample_ginibre,
-    sample_haar_unitary,
-    sample_rank_k_ginibre,
     sample_state,
     sample_states,
 )
@@ -23,7 +21,6 @@ from .errors import (
     ConfigMismatch,
     DimensionMismatch,
     EmptyRun,
-    IllConditionedBlock,
     NoConvergence,
     NotHermitian,
     QsepError,
@@ -53,7 +50,6 @@ __all__ = [
     "DimensionMismatch",
     "EmptyRun",
     "EnsembleSpec",
-    "IllConditionedBlock",
     "NoConvergence",
     "NotHermitian",
     "ProbabilityReport",
@@ -77,8 +73,6 @@ __all__ = [
     "report",
     "run",
     "sample_ginibre",
-    "sample_haar_unitary",
-    "sample_rank_k_ginibre",
     "sample_state",
     "sample_states",
     "wilson_interval",

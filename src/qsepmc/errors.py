@@ -21,12 +21,8 @@ class DimensionMismatch(QsepError):
     """Matrix shape is inconsistent with the declared subsystem dimensions."""
 
 
-class IllConditionedBlock(QsepError):
-    """The pivot block stayed ill-conditioned after the retry budget."""
-
-
 class RankCollapse(QsepError):
-    """A sampled state did not realize its target rank after the retry budget."""
+    """Sampling met RETRY_LIMIT consecutive irregular attempts (pivot or QR)."""
 
 
 class UnsupportedDimensions(QsepError):

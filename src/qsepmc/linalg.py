@@ -84,30 +84,31 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
         raise NoConvergence(str(exc)) from exc
 
 
-def _qr_phase_fixed(m: np.ndarray):
-    """QR with the R-diagonal phase absorbed into Q; returns (Q, diag(R)).
+def qr_unitary_rows(m: np.ndarray):
+    """Phase-fixed unitary Q factor of each slice, and a mask of regular slices.
 
-    Does not check conditioning; exact zeros on the R diagonal keep phase 1.
+    The diagonal-of-R phase is absorbed into Q, which makes Q a
+    deterministic function of m and, for Gaussian-distributed m,
+    Haar-distributed on the unitary group.  A slice is regular unless some
+    R diagonal entry is below QR_SINGULAR_RTOL times its entrywise sup norm;
+    exact zeros on the R diagonal keep phase 1.
     """
     q, r = np.linalg.qr(m)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     absd = np.abs(d)
     phase = np.where(absd > 0.0, d / np.where(absd > 0.0, absd, 1.0), 1.0)
-    return q * phase[..., None, :], d
+    regular = absd.min(axis=-1) >= QR_SINGULAR_RTOL * np.abs(m).max(axis=(-2, -1))
+    return q * phase[..., None, :], regular
 
 
 def qr_unitary(m: np.ndarray) -> np.ndarray:
     """Unitary Q factor of m with the diagonal-of-R phase fix.
 
-    The phase normalization makes Q a deterministic function of m and, for
-    Gaussian-distributed m, Haar-distributed on the unitary group.  Raises
-    SingularInput when any R diagonal entry is negligible relative to the
-    matrix scale (per slice for stacked input).
+    Raises SingularInput when any slice is not regular (see
+    :func:`qr_unitary_rows`).
     """
-    m = _require_square(m)
-    q, d = _qr_phase_fixed(m)
-    scale = np.abs(m).max(axis=(-2, -1))
-    if np.any(np.abs(d).min(axis=-1) < QR_SINGULAR_RTOL * scale):
+    q, regular = qr_unitary_rows(_require_square(m))
+    if not np.all(regular):
         raise SingularInput("QR diagonal underflow: input numerically singular")
     return q
 

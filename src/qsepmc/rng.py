@@ -22,8 +22,8 @@ _MASK64 = (1 << 64) - 1
 def complex_normals_from_uniforms(u: np.ndarray) -> np.ndarray:
     """Box-Muller: map uniform pairs ``(..., 2)`` to complex N(0,1)+iN(0,1).
 
-    Shared by the per-sample and batched sampling paths so both consume the
-    stream identically.
+    Shared by :meth:`RngStream.complex_normals` and the batched sampler in
+    ``ensembles``, so both consume the stream identically.
     """
     # 1 - u lies in (0, 1], which keeps the log finite for u == 0.
     r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
@@ -43,17 +43,6 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-    @property
-    def state(self):
-        """Snapshot of the stream position (restorable via the setter)."""
-        return (self._gen.bit_generator.state, self.draws)
-
-    @state.setter
-    def state(self, snapshot):
-        bg_state, draws = snapshot
-        self._gen.bit_generator.state = bg_state
-        self.draws = draws
 
     def uniforms(self, shape) -> np.ndarray:
         """Uniform doubles in [0, 1); consumes one draw per element."""

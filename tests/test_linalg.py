@@ -99,6 +99,7 @@ def test_qr_unitary_identity_fixed_point():
 def test_qr_unitary_is_unitary(seed, n):
     q = linalg.qr_unitary(random_complex(seed, n))
     assert linalg.max_abs(q.conj().T @ q - np.eye(n)) <= 1e-10
+    assert abs(abs(np.linalg.det(q)) - 1.0) <= 1e-10
 
 
 def test_qr_unitary_deterministic():
@@ -110,6 +111,13 @@ def test_qr_unitary_singular_input():
     m = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     with pytest.raises(SingularInput):
         linalg.qr_unitary(m)
+
+
+def test_qr_unitary_rows_flags_singular_slices():
+    m = np.stack([random_complex(3, 2), np.ones((2, 2), dtype=complex)])
+    q, regular = linalg.qr_unitary_rows(m)
+    assert regular.tolist() == [True, False]
+    assert np.array_equal(q[0], linalg.qr_unitary(m[0]))
 
 
 def test_qr_unitary_haar_trace_mean():
