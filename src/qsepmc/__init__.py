@@ -34,14 +34,21 @@ from .estimator import (
     RunConfig,
     RunStatistics,
     bin_flatness_violations,
-    classify_states,
     merge,
     report,
     run,
     wilson_interval,
 )
 from .rng import RngStream
-from .separability import BlochVector, SeparabilityVerdict, bloch_vector, ppt_verdict, rank_witness
+from .separability import (
+    BlochVector,
+    SeparabilityVerdict,
+    audit_ranks,
+    bloch_vector,
+    classify_states,
+    ppt_verdict,
+    rank_witness,
+)
 
 __all__ = [
     "BlochVector",
@@ -62,6 +69,7 @@ __all__ = [
     "SeparabilityVerdict",
     "SingularInput",
     "UnsupportedDimensions",
+    "audit_ranks",
     "bin_flatness_violations",
     "bloch_vector",
     "bures_state",

@@ -158,13 +158,20 @@ def write_bin_csv(path: str, rep: ProbabilityReport) -> None:
                 )
 
 
+def _make_config(spec: EnsembleSpec, **settings) -> RunConfig:
+    """RunConfig from command-line values; an invalid value is a usage error."""
+    try:
+        return RunConfig(spec=spec, **settings)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
 def _build_config(ensemble, dims, rank, samples, seed, streams, bins, ppt_tol) -> RunConfig:
     d_a, d_b = _DIMS[dims]
     if not 1 <= rank <= d_a * d_b:
         raise click.UsageError(f"rank must be in 1..{d_a * d_b}")
-    spec = EnsembleSpec(measure=ensemble, d_A=d_a, d_B=d_b, rank=rank)
-    return RunConfig(
-        spec=spec,
+    return _make_config(
+        EnsembleSpec(measure=ensemble, d_A=d_a, d_B=d_b, rank=rank),
         n_samples=samples,
         seed=seed,
         n_streams=streams,
@@ -269,17 +276,22 @@ def table_suite_command(samples, seed, streams, only):
         rows = tuple(r for r in rows if tokens & r.tags)
         if not rows:
             raise click.UsageError(f"no rows match --only {only!r}")
+    configs = [
+        (
+            row,
+            _make_config(
+                EnsembleSpec(row.measure, row.d_A, row.d_B, row.rank),
+                n_samples=samples if samples is not None else row.default_samples,
+                seed=seed + i,
+                n_streams=streams,
+            ),
+        )
+        for i, row in enumerate(SUITE_ROWS)
+        if row in rows
+    ]
     click.echo(f"{'row':18s} {'reference':>9s} {'estimate':>9s} {'ci95':>24s}  verdict")
     all_pass = True
-    for i, row in enumerate(SUITE_ROWS):
-        if row not in rows:
-            continue
-        config = RunConfig(
-            spec=EnsembleSpec(row.measure, row.d_A, row.d_B, row.rank),
-            n_samples=samples if samples is not None else row.default_samples,
-            seed=seed + i,
-            n_streams=streams,
-        )
+    for row, config in configs:
         try:
             stats = run_estimator(config)
             rep = build_report(stats)

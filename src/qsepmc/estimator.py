@@ -19,11 +19,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import linalg
 from .ensembles import EnsembleSpec, sample_states
-from .errors import ConfigMismatch, EmptyRun, QsepError, RunAborted, UnsupportedDimensions
+from .errors import ConfigMismatch, EmptyRun, QsepError, RunAborted
 from .rng import RngStream
-from .separability import PAULIS, PPT_EXACT_DIMS, PPT_TOL
+from .separability import PPT_TOL, classify_states
 
 #: Samples per batch; one batch = one random stream.  Fixed so that batch
 #: boundaries (and hence every draw) are independent of the worker count.
@@ -51,8 +50,8 @@ class RunConfig:
             raise ValueError("n_streams must be >= 1")
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-        if self.ppt_tol < 0:
-            raise ValueError("ppt_tol must be >= 0")
+        if not (math.isfinite(self.ppt_tol) and self.ppt_tol >= 0):
+            raise ValueError("ppt_tol must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -84,34 +83,6 @@ class ProbabilityReport:
     std_error: float
     ci95: tuple[float, float]
     per_bin: tuple[BinReport, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class BatchClassification:
-    """Per-sample diagnostics for a stack of states, as parallel arrays."""
-
-    separable: np.ndarray
-    min_pt_eigenvalue: np.ndarray
-    state_rank: np.ndarray
-    reduced_rank_A: np.ndarray
-    bloch_radius: np.ndarray
-
-
-def classify_states(states: np.ndarray, dims, ppt_tol: float = PPT_TOL) -> BatchClassification:
-    """PPT verdicts, ranks and Bloch radii for a (count, n, n) stack."""
-    if tuple(dims) not in PPT_EXACT_DIMS:
-        raise UnsupportedDimensions(f"PPT classification needs dims 2x2 or 2x3, got {dims}")
-    pt = linalg.partial_transpose(states, dims, subsystem="B")
-    min_pt = linalg.hermitian_eigenvalues(pt)[..., 0]
-    rho_a = linalg.partial_trace(states, dims, keep="A")
-    comps = np.einsum("...ij,kji->...k", rho_a, PAULIS).real
-    return BatchClassification(
-        separable=min_pt >= -ppt_tol,
-        min_pt_eigenvalue=min_pt,
-        state_rank=linalg.numerical_rank(states),
-        reduced_rank_A=linalg.numerical_rank(rho_a),
-        bloch_radius=np.linalg.norm(comps, axis=-1),
-    )
 
 
 def zero_statistics(config: RunConfig) -> RunStatistics:

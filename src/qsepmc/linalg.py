@@ -84,6 +84,16 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
         raise NoConvergence(str(exc)) from exc
 
 
+def hermitian_determinant(m: np.ndarray) -> np.ndarray:
+    """Real determinant of a Hermitian matrix, by LU with partial pivoting.
+
+    The determinant of a Hermitian matrix is real; the rounding-level
+    imaginary part of the complex LU result is dropped.
+    """
+    m = _require_hermitian(m)
+    return np.linalg.det(m).real
+
+
 def qr_unitary_rows(m: np.ndarray):
     """Phase-fixed unitary Q factor of each slice, and a mask of regular slices.
 

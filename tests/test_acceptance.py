@@ -159,7 +159,7 @@ def test_criterion_06_bures_2x2_rank3(bures22_r3):
 
 def test_criterion_07_low_rank_zeros_and_witness():
     from qsepmc.ensembles import DensityMatrix
-    from qsepmc.separability import rank_witness
+    from qsepmc.separability import audit_ranks, rank_witness
 
     n = 100_000
     parts = []
@@ -180,17 +180,14 @@ def test_criterion_07_low_rank_zeros_and_witness():
             count = min(BATCH_SIZE, n - done)
             states = sample_states(spec, RngStream(seed, b), count)
             cls = classify_states(states, (2, 2))
-            fired = np.array(
+            ranks = audit_ranks(states, (2, 2))
+            scalar = np.array(
                 [rank_witness(DensityMatrix(states[j], 2, 2)) for j in range(0, count, 509)]
             )
-            op_disagreements += int(
-                np.sum(fired != (cls.state_rank < cls.reduced_rank_A)[::509])
-            )
-            must_fire += int(np.sum(cls.reduced_rank_A > cls.state_rank))
-            fired_count += int(np.sum(cls.state_rank < cls.reduced_rank_A))
-            fired_but_separable += int(
-                np.sum((cls.state_rank < cls.reduced_rank_A) & cls.separable)
-            )
+            op_disagreements += int(np.sum(scalar != ranks.witness[::509]))
+            must_fire += int(np.sum(np.maximum(ranks.reduced_A, ranks.reduced_B) > ranks.state))
+            fired_count += int(np.sum(ranks.witness))
+            fired_but_separable += int(np.sum(ranks.witness & cls.separable))
             done += count
             b += 1
         # rank-1 states generically have a full-rank marginal: the witness
@@ -225,21 +222,23 @@ def test_criterion_09_rank3_deviates_over_bloch_radius(hs22_r3):
 def test_criterion_10_oracle_suites():
     details = []
 
-    # Werner family: sign of the minimum PT eigenvalue matches (1 - 3p)/4
-    singlet = np.zeros((4, 4), dtype=complex)
+    # Werner family: sign of the minimum PT eigenvalue matches (1 - 3p)/4,
+    # and so does the batched classifier's verdict
     psi = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
     singlet = np.outer(psi, psi.conj())
-    sign_errors = 0
-    for p in np.linspace(0.0, 1.0, 101):
-        rho = p * singlet + (1 - p) * np.eye(4) / 4
-        min_pt = linalg.hermitian_eigenvalues(
-            linalg.partial_transpose(rho, (2, 2), subsystem="B")
-        )[0]
-        expected = (1.0 - 3.0 * p) / 4.0
-        if abs(expected) > PPT_TOL and np.sign(min_pt) != np.sign(expected):
-            sign_errors += 1
-    werner_ok = sign_errors == 0
-    details.append(f"werner sign errors={sign_errors}")
+    ps = np.linspace(0.0, 1.0, 101)
+    werner = np.stack([p * singlet + (1 - p) * np.eye(4) / 4 for p in ps])
+    min_pt = linalg.hermitian_eigenvalues(
+        linalg.partial_transpose(werner, (2, 2), subsystem="B")
+    )[:, 0]
+    expected = (1.0 - 3.0 * ps) / 4.0
+    clear = np.abs(expected) > PPT_TOL
+    sign_errors = int(np.sum(np.sign(min_pt[clear]) != np.sign(expected[clear])))
+    verdict_errors = int(
+        np.sum(classify_states(werner, (2, 2)).separable[clear] != (expected[clear] > 0))
+    )
+    werner_ok = sign_errors == 0 and verdict_errors == 0
+    details.append(f"werner sign errors={sign_errors}, verdict errors={verdict_errors}")
 
     # product states: no false entangled verdicts over 1e4 cases
     rng = RngStream(999, 0)

@@ -85,6 +85,37 @@ def test_run_rank_out_of_range_is_usage_error(runner):
     assert "rank must be in 1..4" in result.output
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--ppt-tol", "nan"),
+        ("--ppt-tol", "inf"),
+        ("--ppt-tol", "-1"),
+        ("--samples", "0"),
+        ("--bins", "0"),
+        ("--streams", "0"),
+    ],
+)
+def test_run_invalid_setting_is_usage_error(runner, flag, value):
+    # the stream count must not decide whether a bad setting is caught
+    for streams in ("1", "2"):
+        result = runner.invoke(
+            main,
+            ["run", "--ensemble", "hs", "--dims", "2x2", "--rank", "4", "--samples", "10",
+             "--streams", streams, flag, value],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Usage" in result.output
+
+
+@pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--streams", "0")])
+def test_table_suite_invalid_setting_is_usage_error(runner, flag, value):
+    result = runner.invoke(main, ["table-suite", "--only", "rank1", flag, value])
+    assert result.exit_code == 2, result.output
+    assert "verdict" not in result.output
+
+
 def test_run_rejects_unknown_ensemble_and_dims(runner):
     for args in (["--ensemble", "ppt", "--dims", "2x2"], ["--ensemble", "hs", "--dims", "3x3"]):
         result = runner.invoke(main, ["run", *args, "--rank", "1", "--samples", "10"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsepmc import linalg
 from qsepmc.ensembles import EnsembleSpec
 from qsepmc.errors import ConfigMismatch, EmptyRun, RankCollapse, RunAborted
 from qsepmc.estimator import (
@@ -56,6 +57,16 @@ def test_single_sample_run():
     assert stats.separable in (0, 1)
     assert sum(stats.bin_total) == 1
     assert sum(1 for b in stats.bin_total if b) == 1
+
+
+def test_run_solves_no_ranks(monkeypatch):
+    # ranks are audit-only; run bins verdicts and Bloch radii alone
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numerical_rank called inside run")
+
+    monkeypatch.setattr(linalg, "numerical_rank", forbidden)
+    for spec in (HS22, EnsembleSpec("bures", 2, 3, 6)):
+        assert run(small_config(spec=spec)).total == 2_000
 
 
 def test_run_reproducible():

@@ -87,6 +87,24 @@ def test_eigen_wraps_solver_failure(monkeypatch):
         linalg.hermitian_eigen(np.eye(2, dtype=complex))
 
 
+def test_determinant_is_product_of_eigenvalues():
+    stack = np.stack([random_hermitian(seed, 6) for seed in range(50)])
+    scale = np.abs(stack).max()
+    det = linalg.hermitian_determinant(stack / scale)
+    assert det.dtype == np.float64 and det.shape == (50,)
+    expected = np.prod(linalg.hermitian_eigenvalues(stack / scale), axis=-1)
+    assert np.max(np.abs(det - expected)) <= 1e-12
+    diagonal = np.diag([2.0, -3.0, 0.5]).astype(complex)
+    assert abs(linalg.hermitian_determinant(diagonal) + 3.0) <= 1e-15
+
+
+def test_determinant_rejects_non_hermitian():
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    stack = np.stack([np.eye(2, dtype=complex), nilpotent])
+    with pytest.raises(NotHermitian):
+        linalg.hermitian_determinant(stack)
+
+
 # ---------------------------------------------------------------- qr_unitary
 
 def test_qr_unitary_identity_fixed_point():
