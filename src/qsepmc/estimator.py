@@ -21,7 +21,7 @@ import numpy as np
 
 from .ensembles import EnsembleSpec, sample_states
 from .errors import ConfigMismatch, EmptyRun, QsepError, RunAborted
-from .rng import RngStream
+from .rng import KEY_LIMIT, RngStream
 from .separability import PPT_TOL, classify_states
 
 #: Samples per batch; one batch = one random stream.  Fixed so that batch
@@ -46,6 +46,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if not 0 <= self.seed < KEY_LIMIT:
+            raise ValueError("seed must be in [0, 2**64)")
         if self.n_streams < 1:
             raise ValueError("n_streams must be >= 1")
         if self.n_bins < 1:

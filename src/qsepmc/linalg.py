@@ -24,6 +24,9 @@ HERMITICITY_RTOL = 1e-10
 QR_SINGULAR_RTOL = 1e-12
 RANK_RTOL = 1e-9
 
+# Batch-axis padding of qr_unitary_rows: a multiple of every SIMD width.
+_QR_LANES = 8
+
 
 class EigenResult(NamedTuple):
     """Hermitian eigendecomposition: eigenvalues ascending, eigenvectors as columns."""
@@ -95,24 +98,54 @@ def hermitian_determinant(m: np.ndarray) -> np.ndarray:
 
 
 def qr_unitary_rows(m: np.ndarray):
-    """Phase-fixed unitary Q factor of each slice, and a mask of regular slices.
+    """Unitary Q factor of m = Q R, R with a real positive diagonal, per slice,
+    and a mask of regular slices.
 
-    The diagonal-of-R phase is absorbed into Q, which makes Q a
-    deterministic function of m and, for Gaussian-distributed m,
-    Haar-distributed on the unitary group.  A slice is regular unless some
-    R diagonal entry is below QR_SINGULAR_RTOL times its entrywise sup norm;
-    exact zeros on the R diagonal keep phase 1.
+    That R makes Q a deterministic function of m and, for Gaussian m,
+    Haar-distributed on the unitary group (Mezzadri, Notices AMS 54, 592,
+    2007).  Classical Gram-Schmidt with a second orthogonalisation pass
+    (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 1069, 2005), run
+    column by column over the whole stack: R's diagonal is the norm of each
+    projected column, so no phase fix is needed.  A slice is regular unless
+    some R diagonal entry is zero or below QR_SINGULAR_RTOL times the slice's
+    entrywise sup norm; Q of an irregular slice is finite but need not be
+    unitary.
     """
-    q, r = np.linalg.qr(m)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    absd = np.abs(d)
-    phase = np.where(absd > 0.0, d / np.where(absd > 0.0, absd, 1.0), 1.0)
-    regular = absd.min(axis=-1) >= QR_SINGULAR_RTOL * np.abs(m).max(axis=(-2, -1))
-    return q * phase[..., None, :], regular
+    m = np.asarray(m)
+    n = m.shape[-1]
+    stack = m.reshape((-1, n, n))
+    rows = stack.shape[0]
+    # a[j, i, b] = m[b, i, j] / 2**e: column j of every slice, batch axis
+    # innermost.  Scaling each slice's sup norm into [1/2, 1) by a power of
+    # two keeps |v|^2 in range and changes no bit of Q.  The batch is padded
+    # with identities to a multiple of _QR_LANES so that every complex product
+    # runs on numpy's SIMD loop (its fused multiply-add rounds differently
+    # from the scalar loop), and a slice's Q does not depend on its stack.
+    sup, exponent = np.frexp(np.abs(stack).max(axis=(-2, -1)))
+    width = -(-rows // _QR_LANES) * _QR_LANES
+    a = np.empty((n, n, width), dtype=complex)
+    np.multiply(stack.transpose(2, 1, 0), np.ldexp(1.0, -exponent), out=a[..., :rows])
+    a[..., rows:] = np.eye(n)[..., None]
+    r_diag = np.empty((n, width))
+    for j in range(n):
+        v = a[j]
+        if j:
+            q = a[:j]
+            for _ in range(2):
+                c = (q * v.conj()).sum(axis=1).conj()  # c[k] = <q_k, v>
+                v -= (q * c[:, None]).sum(axis=0)
+        squares = (v.view(np.float64) ** 2).sum(axis=0)
+        norm = np.sqrt(squares[0::2] + squares[1::2])
+        r_diag[j] = norm
+        v *= 1.0 / np.where(norm > 0.0, norm, 1.0)
+    q = np.ascontiguousarray(a[..., :rows].transpose(2, 1, 0)).reshape(m.shape)
+    r_min = r_diag[:, :rows].min(axis=0)
+    regular = (r_min > 0.0) & (r_min >= QR_SINGULAR_RTOL * sup)
+    return q, regular.reshape(m.shape[:-2])
 
 
 def qr_unitary(m: np.ndarray) -> np.ndarray:
-    """Unitary Q factor of m with the diagonal-of-R phase fix.
+    """Unitary Q factor of m = Q R, R with a real positive diagonal.
 
     Raises SingularInput when any slice is not regular (see
     :func:`qr_unitary_rows`).

@@ -94,6 +94,8 @@ def test_run_rank_out_of_range_is_usage_error(runner):
         ("--samples", "0"),
         ("--bins", "0"),
         ("--streams", "0"),
+        ("--seed", "-1"),
+        ("--seed", str(1 << 64)),
     ],
 )
 def test_run_invalid_setting_is_usage_error(runner, flag, value):
@@ -109,7 +111,26 @@ def test_run_invalid_setting_is_usage_error(runner, flag, value):
         assert "Usage" in result.output
 
 
-@pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--streams", "0")])
+def test_run_seed_range_boundaries(runner):
+    # 0 and 2**64 - 1 are distinct valid seeds at one and two streams
+    for streams in ("1", "2"):
+        results = {}
+        for seed in ("0", str((1 << 64) - 1)):
+            result = runner.invoke(
+                main,
+                ["run", "--ensemble", "hs", "--dims", "2x2", "--rank", "4", "--samples", "300",
+                 "--seed", seed, "--streams", streams],
+            )
+            assert result.exit_code == 0, result.output
+            record = json.loads(result.output)
+            assert record["config"]["seed"] == int(seed)
+            results[seed] = record["report"]["per_bin"]
+        assert results["0"] != results[str((1 << 64) - 1)]
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--samples", "0"), ("--streams", "0"), ("--seed", str((1 << 64) - 5))]
+)
 def test_table_suite_invalid_setting_is_usage_error(runner, flag, value):
     result = runner.invoke(main, ["table-suite", "--only", "rank1", flag, value])
     assert result.exit_code == 2, result.output

@@ -173,6 +173,22 @@ def test_bures_state_degenerates_to_hs_for_identity_unitary():
     assert np.allclose(bures_state(z, np.eye(4)), hs_state(z), atol=1e-14)
 
 
+def test_state_constructors_match_reference_formulas():
+    # the textbook expressions, evaluated in another order; tolerance fixed at
+    # 1e-14 on unit-trace states of size 6, a few hundred roundings
+    rng = RngStream(12, 0)
+    z = rng.complex_normals((500, 6, 6))
+    u = linalg.qr_unitary(rng.complex_normals((500, 6, 6)))
+
+    def reference_hs(x):
+        w = np.einsum("...ij,...kj->...ik", x, x.conj())
+        return w / np.einsum("...ii->...", w).real[..., None, None]
+
+    reference_bures = reference_hs(np.einsum("...ij,...jk->...ik", u + np.eye(6), z))
+    assert np.abs(hs_state(z) - reference_hs(z)).max() <= 1e-14
+    assert np.abs(bures_state(z, u) - reference_bures).max() <= 1e-14
+
+
 def test_sample_state_returns_valid_density_matrix():
     for spec in ALL_SPECS:
         dm = sample_state(spec, RngStream(20, spec.rank))

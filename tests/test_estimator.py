@@ -82,6 +82,42 @@ def test_counters_consistent():
     assert all(s <= t for s, t in zip(stats.bin_separable, stats.bin_total))
 
 
+# (total, separable, bin_total, bin_separable) at 12,288 samples, seed 0, as
+# measured before the Gram-Schmidt Haar QR and the matmul state assembly
+# replaced LAPACK QR and einsum.  A rounding-level change to sampling or
+# classification that moves any verdict or Bloch-radius bin shows up here.
+PINNED_COUNTERS = {
+    EnsembleSpec("bures", 2, 3, 6): (
+        12288, 15,
+        (47, 278, 695, 1126, 1621, 1851, 1864, 1598, 1248, 922, 522, 291, 159, 48, 14, 4, 0, 0, 0, 0),
+        (0, 0, 2, 1, 3, 3, 0, 4, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    ),
+    EnsembleSpec("bures", 2, 3, 5): (
+        12288, 2,
+        (24, 212, 536, 879, 1213, 1541, 1694, 1482, 1374, 1079, 779, 555, 360, 229, 143, 84, 58, 36, 10, 0),
+        (0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    ),
+    EnsembleSpec("bures", 2, 2, 4): (
+        12288, 873,
+        (12, 85, 239, 396, 595, 810, 969, 1211, 1208, 1279, 1310, 1206, 972, 820, 543, 362, 192, 66, 13, 0),
+        (1, 5, 22, 31, 42, 72, 66, 74, 85, 98, 80, 84, 63, 60, 41, 25, 13, 6, 5, 0),
+    ),
+    HS22: (
+        12288, 2987,
+        (26, 142, 409, 710, 959, 1236, 1463, 1569, 1441, 1366, 1043, 845, 534, 301, 157, 56, 25, 6, 0, 0),
+        (8, 32, 106, 178, 209, 332, 354, 367, 342, 339, 251, 205, 135, 71, 42, 12, 3, 1, 0, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "spec", list(PINNED_COUNTERS), ids=lambda s: f"{s.measure}-{s.d_A}x{s.d_B}-r{s.rank}"
+)
+def test_run_counters_pinned(spec):
+    stats = run(RunConfig(spec=spec, n_samples=12_288, seed=0, n_streams=1, n_bins=20))
+    assert counters(stats) == PINNED_COUNTERS[spec]
+
+
 @pytest.mark.parametrize("streams", [2, 4, 8])
 def test_stream_count_invariance(streams):
     n = 3 * BATCH_SIZE + 17

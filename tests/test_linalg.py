@@ -1,5 +1,7 @@
 """Linear-algebra kernels: frozen examples, exact oracles, invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,110 @@ def test_qr_unitary_rows_flags_singular_slices():
     q, regular = linalg.qr_unitary_rows(m)
     assert regular.tolist() == [True, False]
     assert np.array_equal(q[0], linalg.qr_unitary(m[0]))
+
+
+def haar_characterisation_defects(g, q):
+    """Per slice: unitarity defect of Q, and the defects of R = Q+ G from an
+    upper triangle with a real positive diagonal, relative to max |G|."""
+    n = g.shape[-1]
+    unitarity = np.abs(linalg.adjoint(q) @ q - np.eye(n)).max(axis=(-2, -1))
+    r = linalg.adjoint(q) @ g
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    scale = np.abs(g).max(axis=(-2, -1))
+    lower = np.abs(np.tril(r, -1)).max(axis=(-2, -1)) / scale
+    imag = np.abs(d.imag).max(axis=-1) / scale
+    return unitarity, lower, imag, d.real.min(axis=-1)
+
+
+def lapack_q_phase_fixed(g):
+    """Reference Haar map: LAPACK QR with R's diagonal phase absorbed into Q."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def conditioned_stack(seed, n, count, smallest):
+    """count n x n complex matrices with singular values from 1 down to smallest."""
+    g = np.random.default_rng(seed)
+
+    def haar():
+        return lapack_q_phase_fixed(g.normal(size=(count, n, n)) + 1j * g.normal(size=(count, n, n)))
+
+    s = np.exp(g.uniform(np.log(smallest), 0.0, size=(count, n)))
+    s[:, 0], s[:, -1] = 1.0, smallest
+    return (haar() * s[:, None, :]) @ linalg.adjoint(haar())
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("smallest", [None, 1e-4, 1e-10, 1e-13, 1e-16])
+def test_qr_unitary_rows_characterisation(n, smallest):
+    # Gaussian stacks (None) and stacks of condition number up to 1e16: each
+    # slice is flagged irregular, or its Q is unitary to 1e-13 and Q+ G is
+    # upper triangular with a real positive diagonal, relative to max |G|
+    if smallest is None:
+        g = RngStream(41, n).complex_normals((2000, n, n))
+    else:
+        g = conditioned_stack(n, n, 2000, smallest)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, regular = linalg.qr_unitary_rows(g)
+    assert q.shape == g.shape and regular.shape == (2000,)
+    assert np.all(np.isfinite(q))
+    unitarity, lower, imag, diag_min = haar_characterisation_defects(g, q)
+    assert unitarity[regular].max(initial=0.0) <= 1e-13
+    assert lower[regular].max(initial=0.0) <= 1e-13
+    assert imag[regular].max(initial=0.0) <= 1e-13
+    assert np.all(diag_min[regular] > 0.0)
+    if smallest is None or smallest >= 1e-10:
+        # QR_SINGULAR_RTOL = 1e-12 leaves these well inside the regular range
+        assert regular.all()
+    if smallest == 1e-16:
+        assert not regular.any()
+
+
+def test_qr_unitary_rows_matches_lapack_with_phase_fix():
+    # the LAPACK reference on well-conditioned Gaussian input; tolerance
+    # fixed at 1e-12
+    for n in (2, 3, 4, 6):
+        g = RngStream(43, n).complex_normals((1000, n, n))
+        q, regular = linalg.qr_unitary_rows(g)
+        assert regular.all()
+        assert np.abs(q - lapack_q_phase_fixed(g)).max() <= 1e-12
+
+
+def test_qr_unitary_rows_flags_exactly_singular_slices():
+    g = RngStream(44, 0).complex_normals((6, 4, 4))
+    g[0] = 0.0                                   # zero matrix
+    g[1, :, 3] = g[1, :, 0]                      # repeated column
+    g[2, :, 2] = 0.5j * g[2, :, 1] - g[2, :, 0]  # column in the span of the others
+    g[3] = np.outer(g[3, :, 0], g[3, 0])         # rank one
+    g[4, 2] = 0.0                                # zero row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, regular = linalg.qr_unitary_rows(g)
+    assert regular.tolist() == [False] * 5 + [True]
+    assert np.all(np.isfinite(q))
+
+
+def test_qr_unitary_rows_slicewise_and_scale_free():
+    # a slice's Q and verdict do not depend on the stack it comes in, on a
+    # leading shape, or on scaling the slice by a power of two
+    g = RngStream(45, 0).complex_normals((37, 6, 6))
+    g[5, :, 1] = g[5, :, 0]
+    q, regular = linalg.qr_unitary_rows(g)
+    for lo, hi in [(0, 1), (3, 4), (5, 6), (0, 2), (1, 8), (9, 30), (30, 37)]:
+        q_part, regular_part = linalg.qr_unitary_rows(g[lo:hi])
+        assert np.array_equal(q_part, q[lo:hi])
+        assert np.array_equal(regular_part, regular[lo:hi])
+    q_one, regular_one = linalg.qr_unitary_rows(g[7])
+    assert np.array_equal(q_one, q[7]) and regular_one == regular[7]
+    q_nd, regular_nd = linalg.qr_unitary_rows(g[:36].reshape(4, 9, 6, 6))
+    assert np.array_equal(q_nd.reshape(36, 6, 6), q[:36])
+    assert np.array_equal(regular_nd.ravel(), regular[:36])
+    for power in (-600, -3, 5, 600):
+        q_scaled, regular_scaled = linalg.qr_unitary_rows(g * 2.0**power)
+        assert np.array_equal(q_scaled, q)
+        assert np.array_equal(regular_scaled, regular)
 
 
 def test_qr_unitary_haar_trace_mean():

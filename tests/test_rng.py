@@ -1,8 +1,16 @@
 """Stream reproducibility, independence and draw accounting."""
 
 import numpy as np
+import pytest
 
 from qsepmc.rng import RngStream, complex_normals_from_uniforms
+
+
+def box_muller_reference(u):
+    """The textbook Box-Muller expression the kernel must reproduce."""
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
+    theta = (2.0 * np.pi) * u[..., 1]
+    return r * np.cos(theta) + 1j * (r * np.sin(theta))
 
 
 def test_same_key_replays_bit_for_bit():
@@ -59,7 +67,28 @@ def test_box_muller_moments():
     assert abs(z.imag.var() - 1.0) < 0.02
 
 
-def test_seed_masking_accepts_any_integer():
-    a = RngStream(-1, 0)
-    b = RngStream((1 << 64) - 1, 0)
-    assert np.array_equal(a.uniforms(8), b.uniforms(8))
+def test_box_muller_matches_reference_formula():
+    # equal values (a zero part may differ in sign where u0 == 0) on 1e5
+    # random pairs, the edge uniforms 0 and 1 - 2**-53 in both slots, and a
+    # (rows, entries, 2) stack sliced after the transform
+    u = RngStream(99, 0).uniforms((100_000, 2))
+    assert np.array_equal(complex_normals_from_uniforms(u), box_muller_reference(u))
+    top = 1.0 - 2.0**-53
+    edges = np.array([[0.0, 0.0], [0.0, top], [top, 0.0], [top, top], [0.5, 0.25]])
+    assert np.array_equal(complex_normals_from_uniforms(edges), box_muller_reference(edges))
+    assert np.all(np.isfinite(complex_normals_from_uniforms(edges)))
+    stack = RngStream(99, 1).uniforms((64, 144)).reshape(64, -1, 2)
+    assert np.array_equal(complex_normals_from_uniforms(stack)[:, 36:], box_muller_reference(stack[:, 36:]))
+
+
+def test_seed_and_stream_id_bounds():
+    # both key words must lie in [0, 2**64); a key outside must raise, not
+    # wrap onto another stream's draws
+    top = (1 << 64) - 1
+    for key in [(0, 0), (top, 0), (0, top), (top, top)]:
+        rng = RngStream(*key)
+        assert (rng.seed, rng.stream_id) == key
+        assert rng.uniforms(4).shape == (4,)
+    for key in [(-1, 0), (top + 1, 0), (0, -1), (0, top + 1)]:
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            RngStream(*key)
