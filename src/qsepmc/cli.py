@@ -180,6 +180,15 @@ def _build_config(ensemble, dims, rank, samples, seed, streams, bins, ppt_tol) -
     )
 
 
+def _default_streams() -> int:
+    """The ``--streams`` default: the CPUs this process may run on, which
+    under an affinity mask (``taskset``, a container's cpuset) can be fewer
+    than the machine has."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="qsep-mc")
 def main():
@@ -192,7 +201,7 @@ def main():
 @click.option("--rank", type=int, required=True)
 @click.option("--samples", type=int, default=1_000_000, show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--streams", type=int, default=None, help="Worker processes [default: machine parallelism].")
+@click.option("--streams", type=int, default=None, help="Worker processes [default: CPUs in the affinity mask].")
 @click.option("--bins", type=int, default=20, show_default=True, help="Bloch-radius bins over [0, 1].")
 @click.option("--ppt-tol", type=float, default=1e-10, show_default=True)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None, help="Write per-bin CSV here.")
@@ -200,7 +209,7 @@ def main():
 def run_command(ensemble, dims, rank, samples, seed, streams, bins, ppt_tol, csv_path, json_dest):
     """Estimate one configuration and emit a JSON record."""
     if streams is None:
-        streams = os.cpu_count() or 1
+        streams = _default_streams()
     config = _build_config(ensemble, dims, rank, samples, seed, streams, bins, ppt_tol)
     try:
         stats = run_estimator(config)
@@ -264,12 +273,12 @@ def row_passes(row: SuiteRow, stats_separable: int, rep: ProbabilityReport) -> b
 @main.command("table-suite")
 @click.option("--samples", type=int, default=None, help="Override every row's sample count.")
 @click.option("--seed", type=int, default=42, show_default=True, help="Base seed; row i uses seed + i.")
-@click.option("--streams", type=int, default=None, help="Worker processes [default: machine parallelism].")
+@click.option("--streams", type=int, default=None, help="Worker processes [default: CPUs in the affinity mask].")
 @click.option("--only", type=str, default=None, help="Comma-separated row keys or tags (e.g. rank2,rank1).")
 def table_suite_command(samples, seed, streams, only):
     """Run the ten reference configurations and print estimate vs reference."""
     if streams is None:
-        streams = os.cpu_count() or 1
+        streams = _default_streams()
     rows = SUITE_ROWS
     if only:
         tokens = {t.strip() for t in only.split(",") if t.strip()}

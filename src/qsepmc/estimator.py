@@ -8,13 +8,20 @@ any ``n_streams`` and any scheduling, which the tests assert.
 ``n_streams`` controls only how many worker processes share the batches; each
 worker accumulates a private :class:`RunStatistics` and a single final
 :func:`merge` pass combines them.
+
+The worker processes are forked once per worker count and reused by later
+runs with the same count, so a worker sees module state as of its fork, not
+as of the run it serves.  Interpreter exit joins them.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -153,13 +160,44 @@ def _run_batch_range(config: RunConfig, lo: int, hi: int) -> RunStatistics:
     )
 
 
+#: ``(owner pid, worker count, executor)`` of the pool that multi-worker runs
+#: share, or None before the first one and after the pool was dropped.
+_pool_state = None
+_pool_lock = threading.Lock()
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The shared pool of ``workers`` processes, forked on first use."""
+    global _pool_state
+    if _pool_state is None or _pool_state[:2] != (os.getpid(), workers):
+        _drop_pool()
+        _pool_state = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers))
+    return _pool_state[2]
+
+
+def _drop_pool() -> None:
+    """Forget the shared pool, shutting it down if this process owns it.
+
+    The shutdown waits, so no thread of the old pool is alive when the next
+    one forks.  A pool inherited through a fork is left alone: its threads
+    and workers belong to the parent.
+    """
+    global _pool_state
+    if _pool_state is not None:
+        pid, _, pool = _pool_state
+        _pool_state = None
+        if pid == os.getpid():
+            pool.shutdown(wait=True)
+
+
 def run(config: RunConfig) -> RunStatistics:
     """Estimate the configuration's separability counters.
 
     Exactly ``n_samples`` states are sampled and classified; the counters
     depend on ``(spec, n_samples, seed, n_bins, ppt_tol)`` only.  On a
-    sampler failure the partial counters are attached, flagged invalid, to
-    the raised :class:`RunAborted`.
+    sampler failure or a dead worker the partial counters are attached,
+    flagged invalid, to the raised :class:`RunAborted`; the shared pool is
+    idle by then, and a broken one is replaced at the next run.
     """
     t0 = time.perf_counter()
     nb = _batch_count(config.n_samples)
@@ -170,11 +208,21 @@ def run(config: RunConfig) -> RunStatistics:
         if workers == 1:
             acc = merge(acc, _run_batch_range(config, 0, nb))
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_batch_range, config, lo, hi) for lo, hi in bounds]
-                for fut in futures:
-                    acc = merge(acc, fut.result())
-    except QsepError as exc:
+            with _pool_lock:
+                futures = []
+                try:
+                    pool = _pool(workers)
+                    futures = [pool.submit(_run_batch_range, config, lo, hi) for lo, hi in bounds]
+                    for fut in futures:
+                        acc = merge(acc, fut.result())
+                except BrokenProcessPool:
+                    _drop_pool()
+                    raise
+                finally:
+                    for fut in futures:
+                        fut.cancel()
+                    wait(futures)
+    except (QsepError, BrokenProcessPool) as exc:
         partial = replace(acc, valid=False, elapsed_seconds=time.perf_counter() - t0)
         raise RunAborted(f"run aborted: {exc}", partial_statistics=partial) from exc
     return replace(acc, elapsed_seconds=time.perf_counter() - t0)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import random
 
 import pytest
@@ -75,6 +76,21 @@ def test_run_writes_bin_csv(runner, tmp_path):
             p, lo, hi = float(row[4]), float(row[5]), float(row[6])
             assert 0.0 <= lo <= p <= hi <= 1.0
     assert total == 2000
+
+
+def test_streams_default_follows_affinity_mask(runner, monkeypatch):
+    # under `taskset -c 0` the affinity mask holds one CPU of a larger machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    args = ["run", "--ensemble", "hs", "--dims", "2x2", "--rank", "4", "--samples", "300"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["config"]["n_streams"] == 1
+    # without affinity support the CPU count is the default
+    monkeypatch.delattr(os, "sched_getaffinity")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["config"]["n_streams"] == 8
 
 
 def test_run_rank_out_of_range_is_usage_error(runner):

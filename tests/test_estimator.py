@@ -1,13 +1,17 @@
 """Monte-Carlo engine: counters, merging, reporting, parallel invariance."""
 
 import math
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsepmc import linalg
+from qsepmc import estimator, linalg
 from qsepmc.ensembles import EnsembleSpec
 from qsepmc.errors import ConfigMismatch, EmptyRun, RankCollapse, RunAborted
 from qsepmc.estimator import (
@@ -137,8 +141,6 @@ def test_worker_partials_merge_to_full_run():
 
 
 def test_run_aborts_with_invalid_partial(monkeypatch):
-    from qsepmc import estimator
-
     def explode(spec, rng, count):
         raise RankCollapse("forced failure")
 
@@ -149,6 +151,106 @@ def test_run_aborts_with_invalid_partial(monkeypatch):
     assert partial is not None
     assert not partial.valid
     assert partial.total == 0
+
+
+# ----------------------------------------------------------- worker pool
+
+#: Seed whose batches the patched samplers below interfere with.
+DOOMED_SEED = 666
+
+
+@pytest.fixture
+def fresh_pool():
+    """Fork the shared pool inside the test, after its monkeypatches, and
+    drop it afterwards, so that no later run reuses a patched worker."""
+    estimator._drop_pool()
+    yield
+    estimator._drop_pool()
+
+
+def _patch_sampler(monkeypatch, before_batch):
+    """Call ``before_batch(stream_id)`` before each batch of ``DOOMED_SEED``,
+    here and in every worker forked while the patch is in place."""
+    real = estimator.sample_states
+
+    def sampler(spec, rng, count):
+        if rng.seed == DOOMED_SEED:
+            before_batch(rng.stream_id)
+        return real(spec, rng, count)
+
+    monkeypatch.setattr(estimator, "sample_states", sampler)
+
+
+def _assert_pool_serves_clean_run(n):
+    base = run(small_config(n_samples=n, n_streams=1))
+    assert counters(run(small_config(n_samples=n, n_streams=2))) == counters(base)
+
+
+def test_dead_worker_aborts_run_and_pool_recovers(monkeypatch, fresh_pool):
+    def die(stream_id):
+        if stream_id == 0:
+            os._exit(1)
+
+    _patch_sampler(monkeypatch, die)
+    n = 4 * BATCH_SIZE
+    with pytest.raises(RunAborted) as err:
+        run(small_config(n_samples=n, seed=DOOMED_SEED, n_streams=2))
+    assert not err.value.partial_statistics.valid
+    _assert_pool_serves_clean_run(n)
+
+
+def test_failed_range_drains_pool_before_abort(monkeypatch, fresh_pool, tmp_path):
+    # range 0 fails at once while range 1 (streams 2-3) is still running
+    done = tmp_path / "range-1-done"
+
+    def fail_or_stall(stream_id):
+        if stream_id == 0:
+            raise RankCollapse("forced failure")
+        time.sleep(0.2)
+        if stream_id == 3:
+            done.touch()
+
+    _patch_sampler(monkeypatch, fail_or_stall)
+    n = 4 * BATCH_SIZE
+    with pytest.raises(RunAborted) as err:
+        run(small_config(n_samples=n, seed=DOOMED_SEED, n_streams=2))
+    assert not err.value.partial_statistics.valid
+    assert done.exists()  # run waited for the running range before it raised
+    _assert_pool_serves_clean_run(n)
+
+
+EXIT_SCRIPT = """
+import multiprocessing
+from qsepmc.ensembles import EnsembleSpec
+from qsepmc.estimator import BATCH_SIZE, RunConfig, run
+for streams in (2, 3):
+    run(RunConfig(EnsembleSpec("hs", 2, 2, 4), n_samples=3 * BATCH_SIZE, seed=1, n_streams=streams))
+    print(*(p.pid for p in multiprocessing.active_children()))
+"""
+
+
+def test_no_worker_outlives_interpreter():
+    src = os.path.dirname(os.path.dirname(estimator.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", EXIT_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(p) for p in proc.stdout.split()]
+    assert len(set(pids)) == 5  # two workers, then three new ones
+
+    def alive(pid):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+    assert not [pid for pid in pids if alive(pid)]
 
 
 # ----------------------------------------------------------------- merge
