@@ -158,26 +158,13 @@ def write_bin_csv(path: str, rep: ProbabilityReport) -> None:
                 )
 
 
-def _make_config(spec: EnsembleSpec, **settings) -> RunConfig:
-    """RunConfig from command-line values; an invalid value is a usage error."""
+def _make_config(measure, d_a, d_b, rank, **settings) -> RunConfig:
+    """RunConfig from command-line values; an invalid value, the rank
+    included, is a usage error."""
     try:
-        return RunConfig(spec=spec, **settings)
+        return RunConfig(spec=EnsembleSpec(measure, d_a, d_b, rank), **settings)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-
-
-def _build_config(ensemble, dims, rank, samples, seed, streams, bins, ppt_tol) -> RunConfig:
-    d_a, d_b = _DIMS[dims]
-    if not 1 <= rank <= d_a * d_b:
-        raise click.UsageError(f"rank must be in 1..{d_a * d_b}")
-    return _make_config(
-        EnsembleSpec(measure=ensemble, d_A=d_a, d_B=d_b, rank=rank),
-        n_samples=samples,
-        seed=seed,
-        n_streams=streams,
-        n_bins=bins,
-        ppt_tol=ppt_tol,
-    )
 
 
 def _default_streams() -> int:
@@ -210,7 +197,16 @@ def run_command(ensemble, dims, rank, samples, seed, streams, bins, ppt_tol, csv
     """Estimate one configuration and emit a JSON record."""
     if streams is None:
         streams = _default_streams()
-    config = _build_config(ensemble, dims, rank, samples, seed, streams, bins, ppt_tol)
+    config = _make_config(
+        ensemble,
+        *_DIMS[dims],
+        rank,
+        n_samples=samples,
+        seed=seed,
+        n_streams=streams,
+        n_bins=bins,
+        ppt_tol=ppt_tol,
+    )
     try:
         stats = run_estimator(config)
         rep = build_report(stats)
@@ -289,7 +285,10 @@ def table_suite_command(samples, seed, streams, only):
         (
             row,
             _make_config(
-                EnsembleSpec(row.measure, row.d_A, row.d_B, row.rank),
+                row.measure,
+                row.d_A,
+                row.d_B,
+                row.rank,
                 n_samples=samples if samples is not None else row.default_samples,
                 seed=seed + i,
                 n_streams=streams,

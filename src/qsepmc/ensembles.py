@@ -24,11 +24,16 @@ Bures state                  one rank-k Ginibre, then one Haar unitary
 An attempt whose pivot block A is ill-conditioned or whose Haar QR input is
 numerically singular is irregular; an irregular attempt is dropped whole, so
 every attempt consumes the draws above.  Both events are astronomically
-rare.  No state is rejected for its numerical rank (``linalg.RANK_RTOL``):
-measured over 491,520 draws each, 3.1e-4 of full-rank Bures 2x2 states and
-6.9e-4 of 2x3 ones have numerical rank below n, because (I + U) is nearly
-singular.  They are valid Bures draws and are kept; every other ensemble
-pins its rank by construction.
+rare.  Each round inverts its pivot blocks once, and that inverse serves both
+the pivot test, ||A||_F ||A^{-1}||_F <= 1 / PIVOT_COND_RTOL, and the closing
+block.  An exactly singular A (an exactly zero LU pivot) gets a NaN inverse
+and so is irregular too.
+
+No state is rejected for its numerical rank (``linalg.RANK_RTOL``): measured
+over 491,520 draws each, 3.1e-4 of full-rank Bures 2x2 states and 6.9e-4 of
+2x3 ones have numerical rank below n, because (I + U) is nearly singular.
+They are valid Bures draws and are kept; every other ensemble pins its rank
+by construction.
 """
 
 from __future__ import annotations
@@ -41,8 +46,9 @@ from . import linalg
 from .errors import DimensionMismatch, RankCollapse
 from .rng import RngStream, complex_normals_from_uniforms
 
-#: Ratio of smallest to largest singular scale of the pivot block A below
-#: which an attempt is irregular (checked on the Gram matrix, hence squared).
+#: An attempt is irregular when its pivot block's Frobenius condition number
+#: ||A||_F ||A^{-1}||_F exceeds 1 / PIVOT_COND_RTOL.  It lies between cond_2(A)
+#: and k cond_2(A), so cond_2 up to 1e12 / k is always regular.
 PIVOT_COND_RTOL = 1e-12
 
 #: Consecutive irregular attempts after which sampling raises RankCollapse
@@ -123,29 +129,43 @@ def sample_ginibre(n: int, rng: RngStream) -> np.ndarray:
     return rng.complex_normals((n, n))
 
 
-def assemble_rank_deficient(a, b, c) -> np.ndarray:
-    """Assemble [[A, B], [C, C A^{-1} B]]; the result has rank = A's size.
+def assemble_rank_deficient(a, b, c, a_inv) -> np.ndarray:
+    """Assemble [[A, B], [C, (C A^{-1}) B]] from A's inverse ``a_inv``; the
+    result has rank = A's size.
 
     Accepts stacked blocks with matching leading axes.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    c = np.asarray(c, dtype=complex)
-    d = np.einsum("...ij,...jk,...kl->...il", c, np.linalg.inv(a), b)
-    top = np.concatenate([a, b], axis=-1)
-    bottom = np.concatenate([c, d], axis=-1)
-    return np.concatenate([top, bottom], axis=-2)
+    k = a.shape[-1]
+    z = np.empty(a.shape[:-2] + (k + c.shape[-2],) * 2, dtype=complex)
+    z[..., :k, :k] = a
+    z[..., :k, k:] = b
+    z[..., k:, :k] = c
+    z[..., k:, k:] = (c @ a_inv) @ b
+    return z
 
 
-def _pivot_ok(a: np.ndarray) -> np.ndarray:
-    """True where the smallest singular scale of A is above the tolerance.
+def _pivot_inverse(a: np.ndarray) -> np.ndarray:
+    """A^{-1} of every pivot block; NaN for a block with an exactly zero LU pivot.
 
-    Conditioning is measured on the Gram matrix A A+, so the singular-value
-    ratio threshold appears squared.
+    Batched ``inv`` raises for the whole stack if one block is exactly
+    singular; such a block gets a NaN inverse, which ``_pivot_ok`` rejects.
     """
-    gram = np.einsum("...ij,...kj->...ik", a, a.conj())
-    w = np.linalg.eigvalsh(gram)
-    return w[..., 0] >= (PIVOT_COND_RTOL**2) * np.maximum(w[..., -1], 0.0)
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.det(a) == 0
+        a_inv = np.full_like(a, np.nan)
+        a_inv[~singular] = np.linalg.inv(a[~singular])
+        return a_inv
+
+
+def _pivot_ok(a: np.ndarray, a_inv: np.ndarray) -> np.ndarray:
+    """True where ||A||_F ||A^{-1}||_F <= 1 / PIVOT_COND_RTOL.
+
+    A non-finite inverse fails the comparison, so it is never regular.
+    """
+    cond = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(a_inv, axis=(-2, -1))
+    return cond <= 1 / PIVOT_COND_RTOL
 
 
 def hs_state(z: np.ndarray) -> np.ndarray:
@@ -182,11 +202,12 @@ def sample_states(spec: EnsembleSpec, rng: RngStream, count: int) -> np.ndarray:
     """The first ``count`` regular attempts of the stream as a (count, n, n) stack.
 
     Attempt j of a stream uses uniforms [j D, (j + 1) D), with D =
-    :func:`uniform_draws_per_sample`.  It is regular if its pivot block
-    passes the PIVOT_COND_RTOL test (k < n) and its Haar QR input passes the
-    ``linalg.QR_SINGULAR_RTOL`` test (Bures); an irregular attempt is dropped
-    whole.  Each round draws the shortfall as one stack and keeps every
-    regular attempt in it, so the stream ends just past the last state
+    :func:`uniform_draws_per_sample`.  It is regular if its pivot block A
+    passes the PIVOT_COND_RTOL test ||A||_F ||A^{-1}||_F <= 1e12 (k < n; an
+    exactly singular A has a NaN inverse and fails it) and its Haar QR input
+    passes the ``linalg.QR_SINGULAR_RTOL`` test (Bures); an irregular attempt
+    is dropped whole.  Each round draws the shortfall as one stack and keeps
+    every regular attempt in it, so the stream ends just past the last state
     returned, and ``sample_states(a)`` followed by ``sample_states(b)``
     returns what ``sample_states(a + b)`` returns.  RETRY_LIMIT consecutive
     irregular attempts, counted across rounds, raise RankCollapse.
@@ -231,7 +252,8 @@ def _attempts(spec: EnsembleSpec, rng: RngStream, rows: int):
         a = z[:, : k * k].reshape(rows, k, k)
         b = z[:, k * k : k * k + k * m].reshape(rows, k, m)
         c = z[:, k * k + k * m :].reshape(rows, m, k)
-        regular &= _pivot_ok(a)
+        a_inv = _pivot_inverse(a)
+        regular &= _pivot_ok(a, a_inv)
     if spec.measure == "bures":
         q, qr_regular = linalg.qr_unitary_rows(normals[:, n_z:].reshape(rows, n, n))
         regular &= qr_regular
@@ -240,6 +262,6 @@ def _attempts(spec: EnsembleSpec, rng: RngStream, rows: int):
     if k == n:
         z = z[keep].reshape(-1, n, n)
     else:
-        z = assemble_rank_deficient(a[keep], b[keep], c[keep])
+        z = assemble_rank_deficient(a[keep], b[keep], c[keep], a_inv[keep])
     states = bures_state(z, q[keep]) if spec.measure == "bures" else hs_state(z)
     return states, regular

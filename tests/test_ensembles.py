@@ -101,7 +101,7 @@ def test_rank_k_degenerate_full_rank():
 
 def test_rank_one_all_ones_instance():
     z = assemble_rank_deficient(
-        np.ones((1, 1)), np.ones((1, 3)), np.ones((3, 1))
+        np.ones((1, 1)), np.ones((1, 3)), np.ones((3, 1)), np.ones((1, 1))
     )
     assert np.array_equal(z, np.ones((4, 4)))
     assert linalg.numerical_rank(z @ z.conj().T) == 1
@@ -111,8 +111,9 @@ def test_rank_one_all_ones_instance():
 def test_rank_k_realizes_rank(n, k):
     rng = RngStream(17, k)
     for _ in range(100):
+        a = rng.complex_normals((k, k))
         z = assemble_rank_deficient(
-            rng.complex_normals((k, k)), rng.complex_normals((k, n - k)), rng.complex_normals((n - k, k))
+            a, rng.complex_normals((k, n - k)), rng.complex_normals((n - k, k)), np.linalg.inv(a)
         )
         assert z.shape == (n, n)
         assert linalg.numerical_rank(z @ z.conj().T) == k
@@ -125,7 +126,7 @@ def _first_pivots_irregular(monkeypatch, n):
 
     drawn = [0]
 
-    def pivot_ok(a):
+    def pivot_ok(a, a_inv):
         index = drawn[0] + np.arange(len(a))
         drawn[0] += len(a)
         return index >= n
@@ -144,9 +145,95 @@ def test_rank_k_pivot_retry_budget(monkeypatch):
     _first_pivots_irregular(monkeypatch, RETRY_LIMIT)
     with pytest.raises(RankCollapse):
         sample_states(spec, RngStream(0, 0), 3)
-    monkeypatch.setattr(ensembles, "_pivot_ok", lambda a: np.zeros(len(a), dtype=bool))
+    monkeypatch.setattr(ensembles, "_pivot_ok", lambda a, a_inv: np.zeros(len(a), dtype=bool))
     with pytest.raises(RankCollapse):
         sample_states(spec, RngStream(0, 0), 3)
+
+
+@pytest.mark.parametrize(
+    "eps,regular",
+    [(1e-6, True), (1e-8, True), (1e-10, True), (1e-12, False), (1e-14, False), (0.0, False)],
+)
+def test_pivot_test_follows_its_threshold(eps, regular):
+    # ||A||_F ||A^-1||_F is about 4 / eps for [[1, 1], [1, 1 + eps]]: regular
+    # up to 4e10, irregular from 4e12 on, and at eps = 0 the block is
+    # exactly singular
+    from qsepmc import ensembles
+
+    a = np.array([[[1, 1], [1, 1 + eps]]], dtype=complex)
+    assert ensembles._pivot_ok(a, ensembles._pivot_inverse(a)).tolist() == [regular]
+
+
+def test_singular_pivots_are_irregular():
+    # Exactly singular blocks get a NaN inverse or a huge one and are
+    # irregular; a regular block stacked with them keeps its own inverse.
+    from qsepmc import ensembles
+
+    rng = RngStream(5, 0)
+    dependent = rng.complex_normals((500, 3, 3))
+    dependent[:, 2] = dependent[:, 0] + dependent[:, 1]
+    singular = [
+        np.zeros((1, 1)),
+        np.zeros((2, 2)),
+        np.array([[1, 2], [2, 4]]),
+        np.array([[1, 2, 3], [4, 5, 6], [5, 7, 9]]),
+        *dependent,
+    ]
+    for block in singular:
+        regular = rng.complex_normals(block.shape)
+        stack = np.stack([regular, block]).astype(complex)
+        a_inv = ensembles._pivot_inverse(stack)
+        assert ensembles._pivot_ok(stack, a_inv).tolist() == [True, False]
+        assert np.array_equal(a_inv[0], np.linalg.inv(regular))
+
+
+def _zero_pivots(monkeypatch, zeroed):
+    """Zero the 1x1 pivot block of every attempt whose stream index ``zeroed`` selects."""
+    from qsepmc import ensembles
+
+    drawn = [0]
+    normals = ensembles.complex_normals_from_uniforms
+
+    def zeroing_normals(u):
+        z = normals(u)
+        index = drawn[0] + np.arange(len(z))
+        drawn[0] += len(z)
+        z[zeroed(index), 0] = 0
+        return z
+
+    monkeypatch.setattr(ensembles, "complex_normals_from_uniforms", zeroing_normals)
+
+
+def test_zero_pivot_is_dropped_whole(monkeypatch):
+    # A rank-1 pivot is zero when its Box-Muller radius uniform is 0.0; that
+    # attempt is irregular and dropped, not an error from inverting it.
+    from qsepmc.estimator import RunConfig, run
+
+    spec = EnsembleSpec("hs", 2, 2, 1)
+    _zero_pivots(monkeypatch, lambda index: index == 1000)
+    rng = RngStream(11, 0)
+    batch = sample_states(spec, rng, 4096)
+    assert batch.shape == (4096, 4, 4)
+    assert rng.draws == uniform_draws_per_sample(spec) * 4097
+    _zero_pivots(monkeypatch, lambda index: index == 1000)
+    ref = RngStream(11, 0)
+    seq = np.stack([sample_state(spec, ref).matrix for _ in range(4096)])
+    assert np.array_equal(batch, seq)
+    _zero_pivots(monkeypatch, lambda index: index == 7)
+    assert run(RunConfig(spec=spec, n_samples=4096, seed=0, n_streams=1)).total == 4096
+
+
+def test_all_zero_pivots_abort_the_run(monkeypatch):
+    from qsepmc.errors import RunAborted
+    from qsepmc.estimator import RunConfig, run
+
+    spec = EnsembleSpec("hs", 2, 2, 1)
+    _zero_pivots(monkeypatch, lambda index: np.ones(index.shape, dtype=bool))
+    with pytest.raises(RankCollapse):
+        sample_states(spec, RngStream(0, 0), 3)
+    with pytest.raises(RunAborted) as err:
+        run(RunConfig(spec=spec, n_samples=4096, seed=0, n_streams=1))
+    assert isinstance(err.value.__cause__, RankCollapse)
 
 
 # ------------------------------------------------------------ haar unitary
@@ -255,7 +342,9 @@ def _force_pivot_retries(monkeypatch):
 
     real = ensembles._pivot_ok
     monkeypatch.setattr(
-        ensembles, "_pivot_ok", lambda a: real(a) & (np.abs(a[..., 0, 0].real) >= 0.05)
+        ensembles,
+        "_pivot_ok",
+        lambda a, a_inv: real(a, a_inv) & (np.abs(a[..., 0, 0].real) >= 0.05),
     )
 
 
@@ -274,8 +363,8 @@ def _count_irregular(monkeypatch):
     irregular = []
     pivot_ok, qr_rows = ensembles._pivot_ok, linalg.qr_unitary_rows
 
-    def counted_pivot_ok(a):
-        ok = pivot_ok(a)
+    def counted_pivot_ok(a, a_inv):
+        ok = pivot_ok(a, a_inv)
         irregular.append(np.flatnonzero(~ok))
         return ok
 

@@ -88,9 +88,26 @@ def test_counters_consistent():
 
 # (total, separable, bin_total, bin_separable) at 12,288 samples, seed 0, as
 # measured before the Gram-Schmidt Haar QR and the matmul state assembly
-# replaced LAPACK QR and einsum.  A rounding-level change to sampling or
-# classification that moves any verdict or Bloch-radius bin shows up here.
+# replaced LAPACK QR and einsum (the three rank-k rows at the top: before
+# the pivot test moved from the Gram eigen-solve to A's inverse).  A
+# rounding-level change to sampling or classification that moves any
+# verdict or Bloch-radius bin shows up here.
 PINNED_COUNTERS = {
+    EnsembleSpec("hs", 2, 2, 3): (
+        12288, 1184,
+        (4, 101, 208, 398, 601, 821, 1006, 1122, 1233, 1205, 1120, 1034, 854, 708, 541, 377, 333, 248, 195, 179),
+        (0, 10, 23, 42, 70, 86, 107, 108, 126, 144, 122, 83, 104, 69, 43, 15, 19, 7, 3, 3),
+    ),
+    EnsembleSpec("hs", 2, 3, 4): (
+        12288, 3,
+        (13, 137, 351, 573, 821, 942, 1084, 1136, 1088, 969, 799, 734, 640, 551, 521, 449, 424, 371, 350, 335),
+        (0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
+    ),
+    EnsembleSpec("bures", 2, 3, 3): (
+        12288, 0,
+        (16, 68, 205, 367, 585, 782, 947, 1087, 1103, 1255, 1159, 1183, 998, 814, 668, 472, 313, 180, 71, 15),
+        (0,) * 20,
+    ),
     EnsembleSpec("bures", 2, 3, 6): (
         12288, 15,
         (47, 278, 695, 1126, 1621, 1851, 1864, 1598, 1248, 922, 522, 291, 159, 48, 14, 4, 0, 0, 0, 0),
