@@ -13,7 +13,6 @@ from .ensembles import (
     EnsembleSpec,
     bures_state,
     hs_state,
-    sample_ginibre,
     sample_state,
     sample_states,
 )
@@ -26,7 +25,6 @@ from .errors import (
     QsepError,
     RankCollapse,
     RunAborted,
-    SingularInput,
     UnsupportedDimensions,
 )
 from .estimator import (
@@ -67,7 +65,6 @@ __all__ = [
     "RunConfig",
     "RunStatistics",
     "SeparabilityVerdict",
-    "SingularInput",
     "UnsupportedDimensions",
     "audit_ranks",
     "bin_flatness_violations",
@@ -80,7 +77,6 @@ __all__ = [
     "rank_witness",
     "report",
     "run",
-    "sample_ginibre",
     "sample_state",
     "sample_states",
     "wilson_interval",

@@ -10,7 +10,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
 import click
@@ -33,6 +33,17 @@ CSV_HEADER = ["radius_lo", "radius_hi", "total", "separable", "p_sep", "ci_lo", 
 _DIMS = {"2x2": (2, 2), "2x3": (2, 3)}
 
 
+def _json_dict(items) -> dict:
+    """``asdict`` factory: tuples become the lists that JSON parses back to."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in items}
+
+
+def _from_fields(cls, data: dict, **given):
+    """``cls`` from the entries of ``data`` named after its fields, except
+    those in ``given``; a missing entry raises KeyError."""
+    return cls(**{f.name: data[f.name] for f in fields(cls) if f.name not in given}, **given)
+
+
 @dataclass(frozen=True)
 class OutputRecord:
     """Self-describing result record; round-trips losslessly through JSON."""
@@ -40,45 +51,19 @@ class OutputRecord:
     schema: str
     config: RunConfig
     report: ProbabilityReport
-    seed: int
-    n_streams: int
     build: str
     timestamp: str
 
     def to_dict(self) -> dict:
-        spec = self.config.spec
+        config = asdict(self.config, dict_factory=_json_dict)
+        spec = config.pop("spec")
         return {
             "schema": self.schema,
-            "config": {
-                "measure": spec.measure,
-                "d_A": spec.d_A,
-                "d_B": spec.d_B,
-                "rank": spec.rank,
-                "n_samples": self.config.n_samples,
+            "config": {**spec, **config},
+            "report": asdict(self.report, dict_factory=_json_dict),
+            "provenance": {
                 "seed": self.config.seed,
                 "n_streams": self.config.n_streams,
-                "n_bins": self.config.n_bins,
-                "ppt_tol": self.config.ppt_tol,
-            },
-            "report": {
-                "p_sep": self.report.p_sep,
-                "std_error": self.report.std_error,
-                "ci95": list(self.report.ci95),
-                "per_bin": [
-                    {
-                        "radius_lo": b.radius_lo,
-                        "radius_hi": b.radius_hi,
-                        "total": b.total,
-                        "separable": b.separable,
-                        "p_sep": b.p_sep,
-                        "ci95": list(b.ci95) if b.ci95 is not None else None,
-                    }
-                    for b in self.report.per_bin
-                ],
-            },
-            "provenance": {
-                "seed": self.seed,
-                "n_streams": self.n_streams,
                 "build": self.build,
                 "timestamp": self.timestamp,
             },
@@ -88,37 +73,15 @@ class OutputRecord:
     def from_dict(cls, data: dict) -> "OutputRecord":
         cfg = data["config"]
         rep = data["report"]
-        config = RunConfig(
-            spec=EnsembleSpec(cfg["measure"], cfg["d_A"], cfg["d_B"], cfg["rank"]),
-            n_samples=cfg["n_samples"],
-            seed=cfg["seed"],
-            n_streams=cfg["n_streams"],
-            n_bins=cfg["n_bins"],
-            ppt_tol=cfg["ppt_tol"],
-        )
         per_bin = tuple(
-            BinReport(
-                radius_lo=b["radius_lo"],
-                radius_hi=b["radius_hi"],
-                total=b["total"],
-                separable=b["separable"],
-                p_sep=b["p_sep"],
-                ci95=tuple(b["ci95"]) if b["ci95"] is not None else None,
-            )
+            _from_fields(BinReport, b, ci95=tuple(b["ci95"]) if b["ci95"] is not None else None)
             for b in rep["per_bin"]
         )
         prov = data["provenance"]
         return cls(
             schema=data["schema"],
-            config=config,
-            report=ProbabilityReport(
-                p_sep=rep["p_sep"],
-                std_error=rep["std_error"],
-                ci95=tuple(rep["ci95"]),
-                per_bin=per_bin,
-            ),
-            seed=prov["seed"],
-            n_streams=prov["n_streams"],
+            config=_from_fields(RunConfig, cfg, spec=_from_fields(EnsembleSpec, cfg)),
+            report=_from_fields(ProbabilityReport, rep, ci95=tuple(rep["ci95"]), per_bin=per_bin),
             build=prov["build"],
             timestamp=prov["timestamp"],
         )
@@ -129,8 +92,6 @@ def make_record(config: RunConfig, rep: ProbabilityReport) -> OutputRecord:
         schema=SCHEMA_VERSION,
         config=config,
         report=rep,
-        seed=config.seed,
-        n_streams=config.n_streams,
         build=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
     )

@@ -122,13 +122,6 @@ class DensityMatrix:
         return self
 
 
-def sample_ginibre(n: int, rng: RngStream) -> np.ndarray:
-    """n x n matrix with all 2 n^2 real components drawn i.i.d. N(0, 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return rng.complex_normals((n, n))
-
-
 def assemble_rank_deficient(a, b, c, a_inv) -> np.ndarray:
     """Assemble [[A, B], [C, (C A^{-1}) B]] from A's inverse ``a_inv``; the
     result has rank = A's size.

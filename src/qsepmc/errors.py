@@ -13,10 +13,6 @@ class NoConvergence(QsepError):
     """The eigensolver failed to converge."""
 
 
-class SingularInput(QsepError):
-    """QR input is numerically singular; the caller should resample."""
-
-
 class DimensionMismatch(QsepError):
     """Matrix shape is inconsistent with the declared subsystem dimensions."""
 

@@ -29,7 +29,7 @@ import numpy as np
 from .ensembles import EnsembleSpec, sample_states
 from .errors import ConfigMismatch, EmptyRun, QsepError, RunAborted
 from .rng import KEY_LIMIT, RngStream
-from .separability import PPT_TOL, classify_states
+from .separability import PPT_TOL, check_ppt_tol, classify_states
 
 #: Samples per batch; one batch = one random stream.  Fixed so that batch
 #: boundaries (and hence every draw) are independent of the worker count.
@@ -59,8 +59,7 @@ class RunConfig:
             raise ValueError("n_streams must be >= 1")
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-        if not (math.isfinite(self.ppt_tol) and self.ppt_tol >= 0):
-            raise ValueError("ppt_tol must be finite and >= 0")
+        check_ppt_tol(self.ppt_tol)
 
 
 @dataclass(frozen=True)

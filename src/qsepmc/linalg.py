@@ -12,11 +12,9 @@ convention.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, SingularInput
+from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 # Relative tolerances, all against the entrywise sup norm or the largest
 # eigenvalue of the input.
@@ -26,13 +24,6 @@ RANK_RTOL = 1e-9
 
 # Batch-axis padding of qr_unitary_rows: a multiple of every SIMD width.
 _QR_LANES = 8
-
-
-class EigenResult(NamedTuple):
-    """Hermitian eigendecomposition: eigenvalues ascending, eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def max_abs(m) -> float:
@@ -64,22 +55,12 @@ def _require_hermitian(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def hermitian_eigen(m: np.ndarray) -> EigenResult:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix.
 
     Raises NotHermitian if the input fails the hermiticity tolerance and
     NoConvergence if the underlying solver gives up.
     """
-    m = _require_hermitian(m)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return EigenResult(w, v)
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (no eigenvectors)."""
     m = _require_hermitian(m)
     try:
         return np.linalg.eigvalsh(m)
@@ -142,18 +123,6 @@ def qr_unitary_rows(m: np.ndarray):
     r_min = r_diag[:, :rows].min(axis=0)
     regular = (r_min > 0.0) & (r_min >= QR_SINGULAR_RTOL * sup)
     return q, regular.reshape(m.shape[:-2])
-
-
-def qr_unitary(m: np.ndarray) -> np.ndarray:
-    """Unitary Q factor of m = Q R, R with a real positive diagonal.
-
-    Raises SingularInput when any slice is not regular (see
-    :func:`qr_unitary_rows`).
-    """
-    q, regular = qr_unitary_rows(_require_square(m))
-    if not np.all(regular):
-        raise SingularInput("QR diagonal underflow: input numerically singular")
-    return q
 
 
 def _split_dims(m: np.ndarray, dims) -> tuple[int, int]:

@@ -13,6 +13,7 @@ functions are thin wrappers over them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -94,6 +95,13 @@ class BlochVector:
     radius: float
 
 
+def check_ppt_tol(ppt_tol: float) -> None:
+    """Raise ValueError unless ``ppt_tol`` is finite and >= 0, which the
+    verdict lambda_min >= -ppt_tol and its determinant shortcuts assume."""
+    if not (math.isfinite(ppt_tol) and ppt_tol >= 0):
+        raise ValueError("ppt_tol must be finite and >= 0")
+
+
 def min_pt_eigenvalues(states: np.ndarray, dims) -> np.ndarray:
     """Smallest eigenvalue of the partial transpose (on B) of each state."""
     pt = linalg.partial_transpose(states, dims, subsystem="B")
@@ -116,8 +124,10 @@ def classify_states(states: np.ndarray, dims, ppt_tol: float = PPT_TOL) -> Batch
 
     Every other row (small |det|, or det > 0 in 2x3, where zero or two
     eigenvalues are negative) gets the eigen-solve.  The transpose is taken
-    on subsystem B; the criterion is side-symmetric.
+    on subsystem B; the criterion is side-symmetric.  Raises ValueError
+    unless ``ppt_tol`` is finite and >= 0.
     """
+    check_ppt_tol(ppt_tol)
     dims = tuple(dims)
     if dims not in PPT_EXACT_DIMS:
         raise UnsupportedDimensions(
@@ -132,7 +142,7 @@ def classify_states(states: np.ndarray, dims, ppt_tol: float = PPT_TOL) -> Batch
     undecided = ~separable & (det >= -(ppt_tol + DET_MARGIN))
     min_pt = np.full(det.shape, np.nan)
     if undecided.any():
-        min_pt[undecided] = min_pt_eigenvalues(states[undecided], dims)
+        min_pt[undecided] = linalg.hermitian_eigenvalues(pt[undecided])[:, 0]
         separable[undecided] = min_pt[undecided] >= -ppt_tol
     return BatchClassification(
         separable=separable,
@@ -170,15 +180,14 @@ def rank_witness(rho: DensityMatrix) -> bool:
 
 def _bloch_components(states: np.ndarray, dims, subsystem: str) -> np.ndarray:
     reduced = linalg.partial_trace(states, dims, keep=subsystem)
+    if reduced.shape[-1] != 2:
+        raise DimensionMismatch(f"subsystem {subsystem} has dimension {reduced.shape[-1]}, not a qubit")
     return np.einsum("...ij,kji->...k", reduced, PAULIS).real
 
 
 def bloch_vector(rho: DensityMatrix, subsystem: str = "A") -> BlochVector:
-    """Bloch vector b_i = tr(rho_sub sigma_i) of a qubit subsystem."""
-    d_sub = rho.d_A if subsystem == "A" else rho.d_B
-    if d_sub != 2:
-        raise DimensionMismatch(f"subsystem {subsystem} has dimension {d_sub}, not a qubit")
-    comps = _bloch_components(rho.matrix, rho.dims, "A" if subsystem == "A" else "B")
+    """Bloch vector b_i = tr(rho_sub sigma_i) of qubit subsystem 'A' or 'B'."""
+    comps = _bloch_components(rho.matrix, rho.dims, subsystem)
     return BlochVector(
         components=(float(comps[0]), float(comps[1]), float(comps[2])),
         radius=float(np.linalg.norm(comps)),

@@ -5,6 +5,8 @@ import json
 import os
 import random
 
+from dataclasses import replace
+
 import pytest
 from click.testing import CliRunner
 
@@ -18,7 +20,7 @@ from qsepmc.cli import (
     row_passes,
 )
 from qsepmc.ensembles import EnsembleSpec
-from qsepmc.estimator import RunConfig, report, run
+from qsepmc.estimator import RunConfig, RunStatistics, report, run
 
 
 @pytest.fixture()
@@ -205,8 +207,6 @@ def test_row_pass_semantics():
 
 
 def test_record_round_trip_over_random_configs():
-    from qsepmc.estimator import RunStatistics
-
     rng = random.Random(12345)
     for _ in range(100):
         d_b = rng.choice([2, 3])
@@ -236,3 +236,83 @@ def test_record_round_trip_over_random_configs():
         record = make_record(config, report(stats))
         round_tripped = OutputRecord.from_dict(json.loads(json.dumps(record.to_dict())))
         assert round_tripped == record
+
+
+# The record of one fixed run, one bin empty, as qsep-mc/1 writes it: key
+# order, layout and float text are part of the format.
+PINNED_RECORD = """\
+{
+  "schema": "qsep-mc/1",
+  "config": {
+    "measure": "bures",
+    "d_A": 2,
+    "d_B": 3,
+    "rank": 5,
+    "n_samples": 10,
+    "seed": 7,
+    "n_streams": 3,
+    "n_bins": 3,
+    "ppt_tol": 1e-09
+  },
+  "report": {
+    "p_sep": 0.3,
+    "std_error": 0.14491376746189438,
+    "ci95": [
+      0.10779126740630099,
+      0.6032218525388546
+    ],
+    "per_bin": [
+      {
+        "radius_lo": 0.0,
+        "radius_hi": 0.3333333333333333,
+        "total": 4,
+        "separable": 1,
+        "p_sep": 0.25,
+        "ci95": [
+          0.04558726080970055,
+          0.6993581574175981
+        ]
+      },
+      {
+        "radius_lo": 0.3333333333333333,
+        "radius_hi": 0.6666666666666666,
+        "total": 0,
+        "separable": 0,
+        "p_sep": null,
+        "ci95": null
+      },
+      {
+        "radius_lo": 0.6666666666666666,
+        "radius_hi": 1.0,
+        "total": 6,
+        "separable": 2,
+        "p_sep": 0.3333333333333333,
+        "ci95": [
+          0.09677141110578041,
+          0.700006684861608
+        ]
+      }
+    ]
+  },
+  "provenance": {
+    "seed": 7,
+    "n_streams": 3,
+    "build": "0.1.0",
+    "timestamp": "2026-01-02T03:04:05+00:00"
+  }
+}"""
+
+
+def test_record_text_is_pinned():
+    config = RunConfig(
+        spec=EnsembleSpec("bures", 2, 3, 5), n_samples=10, seed=7, n_streams=3, n_bins=3,
+        ppt_tol=1e-9,
+    )
+    stats = RunStatistics(
+        total=10, separable=3, bin_total=(4, 0, 6), bin_separable=(1, 0, 2), config=config
+    )
+    record = replace(make_record(config, report(stats)), timestamp="2026-01-02T03:04:05+00:00")
+    assert json.dumps(record.to_dict(), indent=2) == PINNED_RECORD
+    loaded = OutputRecord.from_dict(json.loads(PINNED_RECORD))
+    assert loaded == record
+    assert json.dumps(loaded.to_dict(), indent=2) == PINNED_RECORD

@@ -11,7 +11,6 @@ from qsepmc.ensembles import (
     assemble_rank_deficient,
     bures_state,
     hs_state,
-    sample_ginibre,
     sample_state,
     sample_states,
     uniform_draws_per_sample,
@@ -67,11 +66,11 @@ def test_density_matrix_validation():
 
 def test_ginibre_reproducibility_contract():
     rng = RngStream(10, 0)
-    first, second = sample_ginibre(4, rng), sample_ginibre(4, rng)
+    first, second = rng.complex_normals((4, 4)), rng.complex_normals((4, 4))
     assert not np.array_equal(first, second)
     replay = RngStream(10, 0)
-    assert np.array_equal(sample_ginibre(4, replay), first)
-    assert np.array_equal(sample_ginibre(4, replay), second)
+    assert np.array_equal(replay.complex_normals((4, 4)), first)
+    assert np.array_equal(replay.complex_normals((4, 4)), second)
 
 
 def test_ginibre_component_statistics():
@@ -86,8 +85,8 @@ def test_ginibre_component_statistics():
     assert abs(pooled - 2.0) <= 3 * 2 / np.sqrt(z.size)
     # the pooled array is exactly what sequential sampling would produce
     replay = RngStream(271828, 0)
-    assert np.array_equal(sample_ginibre(4, replay), z[0])
-    assert np.array_equal(sample_ginibre(4, replay), z[1])
+    assert np.array_equal(replay.complex_normals((4, 4)), z[0])
+    assert np.array_equal(replay.complex_normals((4, 4)), z[1])
 
 
 # ------------------------------------------------------------- rank-k block
@@ -96,7 +95,7 @@ def test_rank_k_degenerate_full_rank():
     # a full-rank attempt is one plain Ginibre draw
     spec = EnsembleSpec("hs", 2, 2, 4)
     state = sample_states(spec, RngStream(3, 0), 1)[0]
-    assert np.array_equal(state, hs_state(sample_ginibre(4, RngStream(3, 0))))
+    assert np.array_equal(state, hs_state(RngStream(3, 0).complex_normals((4, 4))))
 
 
 def test_rank_one_all_ones_instance():
@@ -243,7 +242,8 @@ def test_haar_eigenphases_uniform():
     scipy_stats = pytest.importorskip("scipy.stats")
     rng = RngStream(31415, 0)
     g = rng.complex_normals((100_000, 2, 2))
-    u = linalg.qr_unitary(g)
+    u, regular = linalg.qr_unitary_rows(g)
+    assert regular.all()
     phases = np.angle(np.linalg.eigvals(u)).ravel()
     result = scipy_stats.kstest(phases, scipy_stats.uniform(loc=-np.pi, scale=2 * np.pi).cdf)
     assert result.pvalue >= 1e-3
@@ -256,7 +256,7 @@ def test_hs_state_identity_input():
 
 
 def test_bures_state_degenerates_to_hs_for_identity_unitary():
-    z = sample_ginibre(4, RngStream(8, 0))
+    z = RngStream(8, 0).complex_normals((4, 4))
     assert np.allclose(bures_state(z, np.eye(4)), hs_state(z), atol=1e-14)
 
 
@@ -265,7 +265,8 @@ def test_state_constructors_match_reference_formulas():
     # 1e-14 on unit-trace states of size 6, a few hundred roundings
     rng = RngStream(12, 0)
     z = rng.complex_normals((500, 6, 6))
-    u = linalg.qr_unitary(rng.complex_normals((500, 6, 6)))
+    u, regular = linalg.qr_unitary_rows(rng.complex_normals((500, 6, 6)))
+    assert regular.all()
 
     def reference_hs(x):
         w = np.einsum("...ij,...kj->...ik", x, x.conj())

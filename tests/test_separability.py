@@ -65,6 +65,22 @@ def test_werner_family_boundary():
             assert v.separable
         assert np.sign(v.min_pt_eigenvalue) == np.sign(expected) or abs(expected) <= 1e-12
 
+@pytest.mark.parametrize("ppt_tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300, 0.0])
+def test_ppt_tol_must_be_finite_and_non_negative(ppt_tol):
+    # the verdict lambda_min >= -ppt_tol needs a finite ppt_tol >= 0; with a
+    # NaN or negative one the determinant shortcut contradicts it
+    for d_b in (2, 3):
+        states = sample_states(EnsembleSpec("hs", 2, d_b, 2 * d_b), RngStream(1, 0), 64)
+        product = dm(np.diag(np.eye(2 * d_b)[0]), 2, d_b)
+        if ppt_tol == 0.0:
+            assert classify_states(states, (2, d_b), ppt_tol).separable.shape == (64,)
+            assert ppt_verdict(product, ppt_tol).separable
+            continue
+        with pytest.raises(ValueError, match="ppt_tol"):
+            classify_states(states, (2, d_b), ppt_tol)
+        with pytest.raises(ValueError, match="ppt_tol"):
+            ppt_verdict(product, ppt_tol)
+
 def test_unsupported_dimensions_rejected():
     rho = DensityMatrix(np.eye(9, dtype=complex) / 9, 3, 3)
     with pytest.raises(UnsupportedDimensions):
@@ -201,6 +217,11 @@ def test_bloch_requires_qubit_subsystem():
     assert bloch_vector(rho, "A").radius <= 1e-14
     with pytest.raises(DimensionMismatch):
         bloch_vector(rho, "B")
+    # only 'A' and 'B' name a subsystem; nothing else falls back to B
+    for state in (dm(np.diag([1.0, 0.0, 0.0, 0.0])), rho):
+        for name in ("C", "a", ""):
+            with pytest.raises(DimensionMismatch):
+                bloch_vector(state, name)
 
 def test_bloch_radius_bounded_over_samples():
     spec = EnsembleSpec("bures", 2, 2, 4)
