@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 import click
 
 from . import __version__
-from .ensembles import EnsembleSpec
+from .ensembles import DIMS, MEASURES, EnsembleSpec
 from .errors import QsepError
 from .estimator import (
     BinReport,
@@ -25,12 +25,13 @@ from .estimator import (
     report as build_report,
     run as run_estimator,
 )
+from .separability import PPT_TOL
 
 SCHEMA_VERSION = "qsep-mc/1"
 
 CSV_HEADER = ["radius_lo", "radius_hi", "total", "separable", "p_sep", "ci_lo", "ci_hi"]
 
-_DIMS = {"2x2": (2, 2), "2x3": (2, 3)}
+_DIMS = {f"{d_a}x{d_b}": (d_a, d_b) for d_a, d_b in DIMS}
 
 
 def _json_dict(items) -> dict:
@@ -128,6 +129,17 @@ def _make_config(measure, d_a, d_b, rank, **settings) -> RunConfig:
         raise click.UsageError(str(exc)) from exc
 
 
+def _estimate(config: RunConfig):
+    """``(statistics, report)`` of one run; a runtime error prints its
+    message and exits 1."""
+    try:
+        stats = run_estimator(config)
+        return stats, build_report(stats)
+    except QsepError as exc:
+        click.echo(str(exc), err=True)
+        sys.exit(1)
+
+
 def _default_streams() -> int:
     """The ``--streams`` default: the CPUs this process may run on, which
     under an affinity mask (``taskset``, a container's cpuset) can be fewer
@@ -144,20 +156,18 @@ def main():
 
 
 @main.command("run")
-@click.option("--ensemble", type=click.Choice(["hs", "bures"]), required=True)
+@click.option("--ensemble", type=click.Choice(MEASURES), required=True)
 @click.option("--dims", type=click.Choice(sorted(_DIMS)), required=True)
 @click.option("--rank", type=int, required=True)
 @click.option("--samples", type=int, default=1_000_000, show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--streams", type=int, default=None, help="Worker processes [default: CPUs in the affinity mask].")
-@click.option("--bins", type=int, default=20, show_default=True, help="Bloch-radius bins over [0, 1].")
-@click.option("--ppt-tol", type=float, default=1e-10, show_default=True)
+@click.option("--streams", type=int, default=_default_streams, help="Worker processes [default: CPUs in the affinity mask].")
+@click.option("--bins", type=int, default=RunConfig.n_bins, show_default=True, help="Bloch-radius bins over [0, 1].")
+@click.option("--ppt-tol", type=float, default=PPT_TOL, show_default=True)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None, help="Write per-bin CSV here.")
 @click.option("--json", "json_dest", default="stdout", show_default=True, help="Record destination: a path or 'stdout'.")
 def run_command(ensemble, dims, rank, samples, seed, streams, bins, ppt_tol, csv_path, json_dest):
     """Estimate one configuration and emit a JSON record."""
-    if streams is None:
-        streams = _default_streams()
     config = _make_config(
         ensemble,
         *_DIMS[dims],
@@ -168,12 +178,7 @@ def run_command(ensemble, dims, rank, samples, seed, streams, bins, ppt_tol, csv
         n_bins=bins,
         ppt_tol=ppt_tol,
     )
-    try:
-        stats = run_estimator(config)
-        rep = build_report(stats)
-    except QsepError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(1)
+    _, rep = _estimate(config)
     record = make_record(config, rep)
     payload = json.dumps(record.to_dict(), indent=2)
     if json_dest == "stdout":
@@ -230,12 +235,10 @@ def row_passes(row: SuiteRow, stats_separable: int, rep: ProbabilityReport) -> b
 @main.command("table-suite")
 @click.option("--samples", type=int, default=None, help="Override every row's sample count.")
 @click.option("--seed", type=int, default=42, show_default=True, help="Base seed; row i uses seed + i.")
-@click.option("--streams", type=int, default=None, help="Worker processes [default: CPUs in the affinity mask].")
+@click.option("--streams", type=int, default=_default_streams, help="Worker processes [default: CPUs in the affinity mask].")
 @click.option("--only", type=str, default=None, help="Comma-separated row keys or tags (e.g. rank2,rank1).")
 def table_suite_command(samples, seed, streams, only):
     """Run the ten reference configurations and print estimate vs reference."""
-    if streams is None:
-        streams = _default_streams()
     rows = SUITE_ROWS
     if only:
         tokens = {t.strip() for t in only.split(",") if t.strip()}
@@ -261,12 +264,7 @@ def table_suite_command(samples, seed, streams, only):
     click.echo(f"{'row':18s} {'reference':>9s} {'estimate':>9s} {'ci95':>24s}  verdict")
     all_pass = True
     for row, config in configs:
-        try:
-            stats = run_estimator(config)
-            rep = build_report(stats)
-        except QsepError as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(1)
+        stats, rep = _estimate(config)
         ok = row_passes(row, stats.separable, rep)
         all_pass = all_pass and ok
         ci = f"[{rep.ci95[0]:.6f}, {rep.ci95[1]:.6f}]"

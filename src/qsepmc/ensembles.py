@@ -11,11 +11,10 @@ Rank-deficient states use a rank-k Ginibre matrix assembled from Gaussian
 blocks A (k x k), B (k x (n-k)), C ((n-k) x k) with the closing block
 D = C A^{-1} B, which pins the rank to exactly k.
 
-Uniform draws one attempt consumes, with m = n - k:
+Uniform draws one attempt consumes:
 
 ===========================  =============================
-full Ginibre (k = n)         2 n^2
-rank-k Ginibre (k < n)       2 (k^2 + 2 k m)
+rank-k Ginibre               2 k (2 n - k), so 2 n^2 at k = n
 Haar unitary                 2 n^2
 HS state                     one rank-k Ginibre
 Bures state                  one rank-k Ginibre, then one Haar unitary
@@ -44,7 +43,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, RankCollapse
-from .rng import RngStream, complex_normals_from_uniforms
+from .rng import RngStream, check_int, complex_normals_from_uniforms
 
 #: An attempt is irregular when its pivot block's Frobenius condition number
 #: ||A||_F ||A^{-1}||_F exceeds 1 / PIVOT_COND_RTOL.  It lies between cond_2(A)
@@ -55,7 +54,9 @@ PIVOT_COND_RTOL = 1e-12
 #: instead of degrading silently.
 RETRY_LIMIT = 100
 
-_MEASURES = ("hs", "bures")
+#: Supported measures and ``(d_A, d_B)`` dimensions: PPT is conclusive on exactly these.
+MEASURES = ("hs", "bures")
+DIMS = ((2, 2), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,11 @@ class EnsembleSpec:
     rank: int
 
     def __post_init__(self):
-        if self.measure not in _MEASURES:
-            raise ValueError(f"measure must be one of {_MEASURES}, got {self.measure!r}")
-        if self.d_A != 2 or self.d_B not in (2, 3):
+        if self.measure not in MEASURES:
+            raise ValueError(f"measure must be one of {MEASURES}, got {self.measure!r}")
+        for name in ("d_A", "d_B", "rank"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        if (self.d_A, self.d_B) not in DIMS:
             raise ValueError(
                 f"supported dimensions are 2x2 and 2x3, got {self.d_A}x{self.d_B}"
             )
@@ -109,10 +112,12 @@ class DensityMatrix:
         return (self.d_A, self.d_B)
 
     def validate(self) -> "DensityMatrix":
-        """Check Hermiticity, unit trace and positivity; raise ValueError if violated."""
+        """Check finite entries, Hermiticity, unit trace and positivity; raise ValueError if not."""
         m = self.matrix
-        scale = max(linalg.max_abs(m), 1e-300)
-        if linalg.max_abs(m - linalg.adjoint(m)) > self.HERMITICITY_RTOL * scale:
+        scale = linalg.max_abs(m)
+        if not np.isfinite(scale):
+            raise ValueError("density matrix has a NaN or infinite entry")
+        if linalg.max_abs(m - linalg.adjoint(m)) > self.HERMITICITY_RTOL * max(scale, 1e-300):
             raise ValueError("density matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > self.TRACE_ATOL or abs(np.trace(m).imag) > self.TRACE_ATOL:
             raise ValueError("density matrix trace differs from 1")
@@ -182,13 +187,15 @@ def sample_state(spec: EnsembleSpec, rng: RngStream) -> DensityMatrix:
     return DensityMatrix(sample_states(spec, rng, 1)[0], spec.d_A, spec.d_B)
 
 
+def _ginibre_normals(spec: EnsembleSpec) -> int:
+    """Complex normals of a rank-k Ginibre draw: k^2 + 2 k (n - k), so n^2 at k = n."""
+    return spec.rank * (2 * spec.dim - spec.rank)
+
+
 def uniform_draws_per_sample(spec: EnsembleSpec) -> int:
     """Uniform draws one attempt consumes (see module docstring)."""
-    n, k = spec.dim, spec.rank
-    d = 2 * n * n if k == n else 2 * (k * k + 2 * k * (n - k))
-    if spec.measure == "bures":
-        d += 2 * n * n
-    return d
+    haar = spec.dim**2 if spec.measure == "bures" else 0
+    return 2 * (_ginibre_normals(spec) + haar)
 
 
 def sample_states(spec: EnsembleSpec, rng: RngStream, count: int) -> np.ndarray:
@@ -233,7 +240,7 @@ def _attempts(spec: EnsembleSpec, rng: RngStream, rows: int):
     """
     n, k = spec.dim, spec.rank
     m = n - k
-    n_z = n * n if k == n else k * k + 2 * k * m
+    n_z = _ginibre_normals(spec)
     # One Box-Muller pass over the attempt's uniforms, which are not kept:
     # Z takes the first n_z normals and the Haar input G the rest.
     u = rng.uniforms((rows, uniform_draws_per_sample(spec)))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .ensembles import EnsembleSpec, sample_states
 from .errors import ConfigMismatch, EmptyRun, QsepError, RunAborted
-from .rng import KEY_LIMIT, RngStream
+from .rng import RngStream, check_int
 from .separability import PPT_TOL, check_ppt_tol, classify_states
 
 #: Samples per batch; one batch = one random stream.  Fixed so that batch
@@ -51,28 +51,28 @@ class RunConfig:
     ppt_tol: float = PPT_TOL
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if not 0 <= self.seed < KEY_LIMIT:
-            raise ValueError("seed must be in [0, 2**64)")
-        if self.n_streams < 1:
-            raise ValueError("n_streams must be >= 1")
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
+        for name, lo in (("n_samples", 1), ("seed", 0), ("n_streams", 1), ("n_bins", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
         check_ppt_tol(self.ppt_tol)
 
 
 @dataclass(frozen=True)
 class RunStatistics:
-    """Mergeable counters: totals plus per-Bloch-radius-bin tallies."""
+    """Mergeable per-Bloch-radius-bin tallies; the run totals are their sums."""
 
-    total: int
-    separable: int
     bin_total: tuple[int, ...]
     bin_separable: tuple[int, ...]
     config: RunConfig
-    elapsed_seconds: float = field(default=0.0, compare=False)
+    elapsed_seconds: float = field(default=0.0, compare=False)  # set by run alone
     valid: bool = True
+
+    @property
+    def total(self) -> int:
+        return sum(self.bin_total)
+
+    @property
+    def separable(self) -> int:
+        return sum(self.bin_separable)
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,8 @@ class ProbabilityReport:
 
 def zero_statistics(config: RunConfig) -> RunStatistics:
     """Identity element for :func:`merge`."""
-    return RunStatistics(
-        total=0,
-        separable=0,
-        bin_total=(0,) * config.n_bins,
-        bin_separable=(0,) * config.n_bins,
-        config=config,
-    )
+    zeros = (0,) * config.n_bins
+    return RunStatistics(bin_total=zeros, bin_separable=zeros, config=config)
 
 
 def merge(a: RunStatistics, b: RunStatistics) -> RunStatistics:
@@ -111,13 +106,9 @@ def merge(a: RunStatistics, b: RunStatistics) -> RunStatistics:
     if not (a.valid and b.valid):
         raise ConfigMismatch("cannot merge invalid (aborted) statistics")
     return RunStatistics(
-        total=a.total + b.total,
-        separable=a.separable + b.separable,
         bin_total=tuple(x + y for x, y in zip(a.bin_total, b.bin_total)),
         bin_separable=tuple(x + y for x, y in zip(a.bin_separable, b.bin_separable)),
         config=a.config,
-        elapsed_seconds=a.elapsed_seconds + b.elapsed_seconds,
-        valid=True,
     )
 
 
@@ -133,11 +124,8 @@ def _batch_count(n_samples: int) -> int:
 
 def _run_batch_range(config: RunConfig, lo: int, hi: int) -> RunStatistics:
     """Process batches [lo, hi); private per-worker accumulation."""
-    t0 = time.perf_counter()
     spec = config.spec
     n_bins = config.n_bins
-    total = 0
-    separable = 0
     bin_total = np.zeros(n_bins, dtype=np.int64)
     bin_separable = np.zeros(n_bins, dtype=np.int64)
     for b in range(lo, hi):
@@ -147,15 +135,10 @@ def _run_batch_range(config: RunConfig, lo: int, hi: int) -> RunStatistics:
         idx = bin_index(cls.bloch_radius, n_bins)
         bin_total += np.bincount(idx, minlength=n_bins)
         bin_separable += np.bincount(idx[cls.separable], minlength=n_bins)
-        total += count
-        separable += int(cls.separable.sum())
     return RunStatistics(
-        total=total,
-        separable=separable,
-        bin_total=tuple(int(x) for x in bin_total),
-        bin_separable=tuple(int(x) for x in bin_separable),
+        bin_total=tuple(bin_total.tolist()),
+        bin_separable=tuple(bin_separable.tolist()),
         config=config,
-        elapsed_seconds=time.perf_counter() - t0,
     )
 
 

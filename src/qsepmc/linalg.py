@@ -47,6 +47,9 @@ def _require_square(m: np.ndarray) -> np.ndarray:
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
     m = _require_square(m)
     scale = max_abs(m)
+    # a NaN defect would pass the comparison below, so check the scale first
+    if not np.isfinite(scale):
+        raise NotHermitian("matrix has a NaN or infinite entry")
     defect = max_abs(m - adjoint(m))
     if defect > HERMITICITY_RTOL * max(scale, 1e-300):
         raise NotHermitian(
@@ -58,8 +61,8 @@ def _require_hermitian(m: np.ndarray) -> np.ndarray:
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix.
 
-    Raises NotHermitian if the input fails the hermiticity tolerance and
-    NoConvergence if the underlying solver gives up.
+    Raises NotHermitian if the input has a NaN or infinite entry or fails
+    the hermiticity tolerance, and NoConvergence if the solver gives up.
     """
     m = _require_hermitian(m)
     try:
@@ -72,7 +75,8 @@ def hermitian_determinant(m: np.ndarray) -> np.ndarray:
     """Real determinant of a Hermitian matrix, by LU with partial pivoting.
 
     The determinant of a Hermitian matrix is real; the rounding-level
-    imaginary part of the complex LU result is dropped.
+    imaginary part of the complex LU result is dropped.  Raises NotHermitian
+    like :func:`hermitian_eigenvalues`.
     """
     m = _require_hermitian(m)
     return np.linalg.det(m).real
@@ -163,13 +167,13 @@ def partial_trace(m: np.ndarray, dims, keep: str = "A") -> np.ndarray:
     raise DimensionMismatch(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def numerical_rank(m: np.ndarray, rel_tol: float = RANK_RTOL):
-    """Count of eigenvalues above ``rel_tol`` times the largest eigenvalue.
+def numerical_rank(m: np.ndarray):
+    """Count of eigenvalues above RANK_RTOL times the largest eigenvalue.
 
     Intended for Hermitian PSD inputs (density and Gram matrices); returns 0
     for the zero matrix.  Stacked inputs yield an integer array.
     """
     w = hermitian_eigenvalues(m)
     lam_max = np.maximum(w[..., -1], 0.0)
-    rank = np.count_nonzero(w > rel_tol * lam_max[..., None], axis=-1)
+    rank = np.count_nonzero(w > RANK_RTOL * lam_max[..., None], axis=-1)
     return int(rank) if np.ndim(rank) == 0 else rank

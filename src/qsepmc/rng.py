@@ -21,6 +21,18 @@ import numpy as np
 KEY_LIMIT = 1 << 64
 
 
+def check_int(name: str, value, lo: int = 0) -> int:
+    """``value`` as an ``int``: the one rule for every integer setting.
+
+    Raises ValueError unless ``value`` is a Python or numpy integer (a bool
+    or a float is not one) in [lo, 2**64), the range of a Philox key word.
+    """
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and lo <= int(value) < KEY_LIMIT):
+        raise ValueError(f"{name} must be an integer in [{lo}, 2**64), got {value!r}")
+    return int(value)
+
+
 def complex_normals_from_uniforms(u: np.ndarray) -> np.ndarray:
     """Box-Muller: map uniform pairs ``(..., 2)`` to complex N(0,1)+iN(0,1).
 
@@ -49,16 +61,13 @@ def complex_normals_from_uniforms(u: np.ndarray) -> np.ndarray:
 class RngStream:
     """One reproducible random stream identified by ``(seed, stream_id)``.
 
-    Both must lie in [0, 2**64); anything else raises ValueError rather than
-    wrapping onto another stream's key.
+    Both must be integers in [0, 2**64); anything else raises ValueError
+    rather than rounding or wrapping onto another stream's key.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if not 0 <= value < KEY_LIMIT:
-                raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+        self.seed = check_int("seed", seed)
+        self.stream_id = check_int("stream_id", stream_id)
         key = self.seed | (self.stream_id << 64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self.draws = 0

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .ensembles import DensityMatrix
+from .ensembles import DIMS, DensityMatrix
 from .errors import DimensionMismatch, UnsupportedDimensions
 
 #: States whose partial transpose dips below -PPT_TOL are declared entangled.
@@ -42,8 +42,8 @@ PPT_TOL = 1e-10
 #: the product of ``eigvalsh`` eigenvalues are below 2e-16.
 DET_MARGIN = 1e-12
 
-#: Dimensions where PPT is conclusive.
-PPT_EXACT_DIMS = {(2, 2), (2, 3)}
+#: Dimensions where PPT is conclusive: every dimension the package samples.
+PPT_EXACT_DIMS = DIMS
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -53,12 +53,10 @@ PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 @dataclass(frozen=True)
 class SeparabilityVerdict:
-    """PPT outcome of one state plus its spectrum and rank diagnostics."""
+    """PPT outcome of one state and its smallest partial-transpose eigenvalue."""
 
     separable: bool
     min_pt_eigenvalue: float
-    state_rank: int
-    reduced_rank_A: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,15 +159,11 @@ def audit_ranks(states: np.ndarray, dims) -> RankAudit:
 
 
 def ppt_verdict(rho: DensityMatrix, ppt_tol: float = PPT_TOL) -> SeparabilityVerdict:
-    """Classify one 2x2 or 2x3 state, with its minimum PT eigenvalue and ranks."""
+    """Classify one 2x2 or 2x3 state, with its minimum PT eigenvalue."""
     stack = rho.matrix[None]
-    separable = bool(classify_states(stack, rho.dims, ppt_tol).separable[0])
-    ranks = audit_ranks(stack, rho.dims)
     return SeparabilityVerdict(
-        separable=separable,
+        separable=bool(classify_states(stack, rho.dims, ppt_tol).separable[0]),
         min_pt_eigenvalue=float(min_pt_eigenvalues(stack, rho.dims)[0]),
-        state_rank=int(ranks.state[0]),
-        reduced_rank_A=int(ranks.reduced_A[0]),
     )
 
 

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
+from qsepmc import cli
 from qsepmc.cli import (
     CSV_HEADER,
     OutputRecord,
@@ -20,6 +21,7 @@ from qsepmc.cli import (
     row_passes,
 )
 from qsepmc.ensembles import EnsembleSpec
+from qsepmc.errors import RunAborted
 from qsepmc.estimator import RunConfig, RunStatistics, report, run
 
 
@@ -155,6 +157,20 @@ def test_table_suite_invalid_setting_is_usage_error(runner, flag, value):
     assert "verdict" not in result.output
 
 
+@pytest.mark.parametrize(
+    "args", [["run", "--ensemble", "hs", "--dims", "2x2", "--rank", "4"], ["table-suite", "--only", "rank1"]]
+)
+def test_runtime_error_prints_message_and_exits_1(runner, monkeypatch, args):
+    def aborted(config):
+        raise RunAborted("run aborted: worker died")
+
+    monkeypatch.setattr(cli, "run_estimator", aborted)
+    result = runner.invoke(main, [*args, "--samples", "10", "--streams", "1"])
+    assert result.exit_code == 1
+    assert result.stderr == "run aborted: worker died\n"
+    assert "PASS" not in result.stdout and "schema" not in result.stdout
+
+
 def test_run_rejects_unknown_ensemble_and_dims(runner):
     for args in (["--ensemble", "ppt", "--dims", "2x2"], ["--ensemble", "hs", "--dims", "3x3"]):
         result = runner.invoke(main, ["run", *args, "--rank", "1", "--samples", "10"])
@@ -227,11 +243,7 @@ def test_record_round_trip_over_random_configs():
         if sum(bin_total) == 0:
             bin_total[0] = 1
         stats = RunStatistics(
-            total=sum(bin_total),
-            separable=sum(bin_separable),
-            bin_total=tuple(bin_total),
-            bin_separable=tuple(bin_separable),
-            config=config,
+            bin_total=tuple(bin_total), bin_separable=tuple(bin_separable), config=config
         )
         record = make_record(config, report(stats))
         round_tripped = OutputRecord.from_dict(json.loads(json.dumps(record.to_dict())))
@@ -308,9 +320,7 @@ def test_record_text_is_pinned():
         spec=EnsembleSpec("bures", 2, 3, 5), n_samples=10, seed=7, n_streams=3, n_bins=3,
         ppt_tol=1e-9,
     )
-    stats = RunStatistics(
-        total=10, separable=3, bin_total=(4, 0, 6), bin_separable=(1, 0, 2), config=config
-    )
+    stats = RunStatistics(bin_total=(4, 0, 6), bin_separable=(1, 0, 2), config=config)
     record = replace(make_record(config, report(stats)), timestamp="2026-01-02T03:04:05+00:00")
     assert json.dumps(record.to_dict(), indent=2) == PINNED_RECORD
     loaded = OutputRecord.from_dict(json.loads(PINNED_RECORD))

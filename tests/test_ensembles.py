@@ -52,6 +52,16 @@ def test_spec_validation():
         EnsembleSpec("haar", 2, 2, 4)
 
 
+def test_spec_fields_must_be_integers():
+    # 4.0 == 4 and (2.0, 2) == (2, 2), so only the type check rejects them
+    for args in ((2, 2, 4.0), (2.0, 2, 4), (2, 3.0, 6), (2, 2, True), (2, 2, "4")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            EnsembleSpec("hs", *args)
+    spec = EnsembleSpec("bures", np.int64(2), np.uint8(3), np.int32(6))
+    assert spec == EnsembleSpec("bures", 2, 3, 6)
+    assert all(type(v) is int for v in (spec.d_A, spec.d_B, spec.rank))
+
+
 def test_density_matrix_validation():
     with pytest.raises(Exception):
         DensityMatrix(np.eye(4, dtype=complex) / 4, 2, 3)
@@ -60,6 +70,17 @@ def test_density_matrix_validation():
         bad_trace.validate()
     good = DensityMatrix(np.eye(4, dtype=complex) / 4, 2, 2)
     good.validate()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_density_matrix_non_finite_entry_is_value_error(bad):
+    for d_b in (2, 3):
+        n = 2 * d_b
+        one = np.eye(n, dtype=complex) / n
+        one[0, 0] = bad
+        for m in (one, np.full((n, n), bad, dtype=complex)):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                DensityMatrix(m, 2, d_b).validate()
 
 
 # ------------------------------------------------------------------ ginibre

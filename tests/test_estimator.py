@@ -44,13 +44,7 @@ def counters(stats):
 
 
 def stats_from_counters(config, bin_total, bin_separable):
-    return RunStatistics(
-        total=sum(bin_total),
-        separable=sum(bin_separable),
-        bin_total=tuple(bin_total),
-        bin_separable=tuple(bin_separable),
-        config=config,
-    )
+    return RunStatistics(bin_total=tuple(bin_total), bin_separable=tuple(bin_separable), config=config)
 
 
 # ------------------------------------------------------------------- run
@@ -86,47 +80,132 @@ def test_counters_consistent():
     assert all(s <= t for s, t in zip(stats.bin_separable, stats.bin_total))
 
 
-# (total, separable, bin_total, bin_separable) at 12,288 samples, seed 0, as
-# measured before the Gram-Schmidt Haar QR and the matmul state assembly
-# replaced LAPACK QR and einsum (the three rank-k rows at the top: before
-# the pivot test moved from the Gram eigen-solve to A's inverse).  A
-# rounding-level change to sampling or classification that moves any
-# verdict or Bloch-radius bin shows up here.
+def test_config_settings_must_be_integers():
+    # seed=1.5 used to give seed 1's counters; the float counts passed
+    # validation and then raised a raw TypeError inside run
+    for setting in ("seed", "n_samples", "n_streams", "n_bins"):
+        for bad in (1.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match=f"{setting} must be an integer"):
+                small_config(**{setting: bad})
+    for setting, bad in (("seed", -1), ("seed", 1 << 64), ("n_samples", 0), ("n_streams", 0), ("n_bins", 0)):
+        with pytest.raises(ValueError, match=f"{setting} must be an integer"):
+            small_config(**{setting: bad})
+    numpy_ints = small_config(
+        n_samples=np.int64(2_000), seed=np.uint64(11), n_streams=np.int32(1), n_bins=np.int16(20)
+    )
+    assert numpy_ints == small_config()
+    assert all(type(getattr(numpy_ints, f)) is int for f in ("n_samples", "seed", "n_streams", "n_bins"))
+    assert counters(run(numpy_ints)) == counters(run(small_config()))
+
+
+# (total, separable, bin_total, bin_separable) of every spec at 12,288
+# samples, seed 0.  The seven values pinned first were measured before the
+# Gram-Schmidt Haar QR and the matmul state assembly replaced LAPACK QR and
+# einsum (three rank-k rows: before the pivot test moved from the Gram
+# eigen-solve to A's inverse); the other thirteen were printed before run
+# totals became sums of the bin tallies.  A rounding-level change to
+# sampling or classification that moves any verdict or Bloch-radius bin
+# shows up here.
 PINNED_COUNTERS = {
+    EnsembleSpec("hs", 2, 2, 1): (
+        12288, 0,
+        (1, 10, 25, 58, 93, 124, 208, 263, 304, 447, 501, 629, 783, 831, 1016, 1077, 1210, 1394, 1589, 1725),
+        (0,) * 20,
+    ),
+    EnsembleSpec("hs", 2, 2, 2): (
+        12288, 0,
+        (5, 26, 80, 121, 249, 358, 436, 598, 710, 827, 918, 941, 994, 1118, 1002, 981, 910, 778, 665, 571),
+        (0,) * 20,
+    ),
     EnsembleSpec("hs", 2, 2, 3): (
         12288, 1184,
         (4, 101, 208, 398, 601, 821, 1006, 1122, 1233, 1205, 1120, 1034, 854, 708, 541, 377, 333, 248, 195, 179),
         (0, 10, 23, 42, 70, 86, 107, 108, 126, 144, 122, 83, 104, 69, 43, 15, 19, 7, 3, 3),
+    ),
+    EnsembleSpec("hs", 2, 2, 4): (
+        12288, 2987,
+        (26, 142, 409, 710, 959, 1236, 1463, 1569, 1441, 1366, 1043, 845, 534, 301, 157, 56, 25, 6, 0, 0),
+        (8, 32, 106, 178, 209, 332, 354, 367, 342, 339, 251, 205, 135, 71, 42, 12, 3, 1, 0, 0),
+    ),
+    EnsembleSpec("hs", 2, 3, 1): (
+        12288, 0,
+        (0, 33, 79, 118, 223, 325, 414, 566, 705, 806, 912, 1006, 1087, 1164, 1149, 1151, 988, 799, 548, 215),
+        (0,) * 20,
+    ),
+    EnsembleSpec("hs", 2, 3, 2): (
+        12288, 0,
+        (9, 50, 141, 248, 411, 519, 653, 780, 1004, 1050, 1138, 1127, 1146, 1046, 857, 741, 633, 424, 234, 77),
+        (0,) * 20,
+    ),
+    EnsembleSpec("hs", 2, 3, 3): (
+        12288, 0,
+        (9, 61, 146, 263, 438, 621, 710, 824, 855, 922, 943, 890, 832, 768, 753, 734, 669, 626, 648, 576),
+        (0,) * 20,
     ),
     EnsembleSpec("hs", 2, 3, 4): (
         12288, 3,
         (13, 137, 351, 573, 821, 942, 1084, 1136, 1088, 969, 799, 734, 640, 551, 521, 449, 424, 371, 350, 335),
         (0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
     ),
-    EnsembleSpec("bures", 2, 3, 3): (
+    EnsembleSpec("hs", 2, 3, 5): (
+        12288, 112,
+        (61, 296, 780, 1193, 1548, 1595, 1572, 1251, 955, 739, 505, 394, 311, 230, 204, 182, 146, 129, 96, 101),
+        (1, 5, 8, 20, 16, 15, 14, 11, 11, 4, 3, 3, 0, 1, 0, 0, 0, 0, 0, 0),
+    ),
+    EnsembleSpec("hs", 2, 3, 6): (
+        12288, 333,
+        (77, 547, 1252, 1853, 2252, 2077, 1723, 1220, 714, 348, 156, 52, 17, 0, 0, 0, 0, 0, 0, 0),
+        (1, 15, 37, 50, 61, 51, 54, 28, 16, 15, 3, 2, 0, 0, 0, 0, 0, 0, 0, 0),
+    ),
+    EnsembleSpec("bures", 2, 2, 1): (
         12288, 0,
-        (16, 68, 205, 367, 585, 782, 947, 1087, 1103, 1255, 1159, 1183, 998, 814, 668, 472, 313, 180, 71, 15),
+        (0, 8, 27, 61, 83, 137, 199, 233, 357, 399, 483, 576, 736, 855, 975, 1157, 1247, 1406, 1550, 1799),
         (0,) * 20,
     ),
-    EnsembleSpec("bures", 2, 3, 6): (
-        12288, 15,
-        (47, 278, 695, 1126, 1621, 1851, 1864, 1598, 1248, 922, 522, 291, 159, 48, 14, 4, 0, 0, 0, 0),
-        (0, 0, 2, 1, 3, 3, 0, 4, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    EnsembleSpec("bures", 2, 2, 2): (
+        12288, 0,
+        (2, 22, 63, 132, 248, 365, 471, 575, 729, 840, 958, 1063, 1082, 1161, 1139, 1061, 989, 755, 473, 160),
+        (0,) * 20,
     ),
-    EnsembleSpec("bures", 2, 3, 5): (
-        12288, 2,
-        (24, 212, 536, 879, 1213, 1541, 1694, 1482, 1374, 1079, 779, 555, 360, 229, 143, 84, 58, 36, 10, 0),
-        (0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    EnsembleSpec("bures", 2, 2, 3): (
+        12288, 360,
+        (15, 59, 140, 277, 455, 630, 799, 929, 1059, 1112, 1262, 1220, 1114, 953, 802, 634, 416, 266, 107, 39),
+        (1, 2, 5, 9, 8, 16, 30, 35, 41, 32, 35, 28, 36, 30, 22, 17, 8, 5, 0, 0),
     ),
     EnsembleSpec("bures", 2, 2, 4): (
         12288, 873,
         (12, 85, 239, 396, 595, 810, 969, 1211, 1208, 1279, 1310, 1206, 972, 820, 543, 362, 192, 66, 13, 0),
         (1, 5, 22, 31, 42, 72, 66, 74, 85, 98, 80, 84, 63, 60, 41, 25, 13, 6, 5, 0),
     ),
-    HS22: (
-        12288, 2987,
-        (26, 142, 409, 710, 959, 1236, 1463, 1569, 1441, 1366, 1043, 845, 534, 301, 157, 56, 25, 6, 0, 0),
-        (8, 32, 106, 178, 209, 332, 354, 367, 342, 339, 251, 205, 135, 71, 42, 12, 3, 1, 0, 0),
+    EnsembleSpec("bures", 2, 3, 1): (
+        12288, 0,
+        (2, 24, 70, 158, 234, 341, 421, 542, 687, 776, 908, 1005, 1113, 1131, 1183, 1107, 955, 813, 603, 215),
+        (0,) * 20,
+    ),
+    EnsembleSpec("bures", 2, 3, 2): (
+        12288, 0,
+        (12, 55, 150, 259, 445, 567, 781, 911, 1062, 1157, 1170, 1175, 1117, 1008, 899, 652, 446, 294, 112, 16),
+        (0,) * 20,
+    ),
+    EnsembleSpec("bures", 2, 3, 3): (
+        12288, 0,
+        (16, 68, 205, 367, 585, 782, 947, 1087, 1103, 1255, 1159, 1183, 998, 814, 668, 472, 313, 180, 71, 15),
+        (0,) * 20,
+    ),
+    EnsembleSpec("bures", 2, 3, 4): (
+        12288, 0,
+        (14, 128, 345, 559, 869, 1019, 1256, 1335, 1342, 1183, 1081, 938, 706, 548, 394, 277, 163, 92, 32, 7),
+        (0,) * 20,
+    ),
+    EnsembleSpec("bures", 2, 3, 5): (
+        12288, 2,
+        (24, 212, 536, 879, 1213, 1541, 1694, 1482, 1374, 1079, 779, 555, 360, 229, 143, 84, 58, 36, 10, 0),
+        (0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    ),
+    EnsembleSpec("bures", 2, 3, 6): (
+        12288, 15,
+        (47, 278, 695, 1126, 1621, 1851, 1864, 1598, 1248, 922, 522, 291, 159, 48, 14, 4, 0, 0, 0, 0),
+        (0, 0, 2, 1, 3, 3, 0, 4, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
     ),
 }
 

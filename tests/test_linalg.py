@@ -107,6 +107,19 @@ def test_determinant_rejects_non_hermitian():
         linalg.hermitian_determinant(stack)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kernel", [linalg.hermitian_eigenvalues, linalg.hermitian_determinant])
+def test_non_finite_entry_rejected(kernel, bad):
+    # a NaN Hermiticity defect compares false against every tolerance, so a
+    # NaN or infinite entry must be caught by its scale before the defect
+    full = np.full((2, 4, 4), bad, dtype=complex)
+    one = np.stack([np.eye(4, dtype=complex) / 4] * 2)
+    one[1, 2, 2] = bad
+    for stack in (full, one, one[1]):
+        with pytest.raises(NotHermitian, match="NaN or infinite"):
+            kernel(stack)
+
+
 # ----------------------------------------------------------- qr_unitary_rows
 
 def test_qr_unitary_identity_fixed_point():
@@ -360,12 +373,12 @@ def test_ptrace_consistency_with_lifted_observable():
 # ---------------------------------------------------------- numerical rank
 
 def test_rank_identity():
-    assert linalg.numerical_rank(np.eye(4, dtype=complex), 1e-9) == 4
+    assert linalg.numerical_rank(np.eye(4, dtype=complex)) == 4
 
 
 def test_rank_below_threshold():
     m = np.diag([1.0, 1e-15, 0.0, 0.0]).astype(complex)
-    assert linalg.numerical_rank(m, 1e-9) == 1
+    assert linalg.numerical_rank(m) == 1
 
 
 def test_rank_zero_matrix():

@@ -92,3 +92,13 @@ def test_seed_and_stream_id_bounds():
     for key in [(-1, 0), (top + 1, 0), (0, -1), (0, top + 1)]:
         with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
             RngStream(*key)
+
+
+def test_seed_and_stream_id_must_be_integers():
+    # RngStream(1.5) must not silently become seed 1
+    for key in [(1.5, 0), (1.0, 0), (0, 2.0), (True, 0), (0, False), ("1", 0)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            RngStream(*key)
+    rng = RngStream(np.uint64((1 << 64) - 1), np.int8(3))
+    assert (rng.seed, rng.stream_id) == ((1 << 64) - 1, 3)
+    assert np.array_equal(rng.uniforms(8), RngStream((1 << 64) - 1, 3).uniforms(8))

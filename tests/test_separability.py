@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsepmc.ensembles import DensityMatrix, EnsembleSpec, hs_state, sample_states
-from qsepmc.errors import DimensionMismatch, UnsupportedDimensions
+from qsepmc.errors import DimensionMismatch, NotHermitian, UnsupportedDimensions
 from qsepmc.estimator import classify_states
 from qsepmc.rng import RngStream
 from qsepmc.separability import (
@@ -40,18 +40,20 @@ def kron_batch(a, b):
 # ------------------------------------------------------------- ppt_verdict
 
 def test_maximally_mixed_verdict():
-    v = ppt_verdict(dm(np.eye(4) / 4))
+    rho = dm(np.eye(4) / 4)
+    v = ppt_verdict(rho)
     assert v.separable
     assert abs(v.min_pt_eigenvalue - 0.25) <= 1e-14
-    assert v.state_rank == 4
-    assert v.reduced_rank_A == 2
+    ranks = audit_ranks(rho.matrix[None], rho.dims)
+    assert (ranks.state[0], ranks.reduced_A[0]) == (4, 2)
 
 def test_bell_state_verdict():
-    v = ppt_verdict(bell_phi_plus())
+    rho = bell_phi_plus()
+    v = ppt_verdict(rho)
     assert not v.separable
     assert abs(v.min_pt_eigenvalue + 0.5) <= 1e-12
-    assert v.state_rank == 1
-    assert v.reduced_rank_A == 2
+    ranks = audit_ranks(rho.matrix[None], rho.dims)
+    assert (ranks.state[0], ranks.reduced_A[0]) == (1, 2)
 
 def test_werner_family_boundary():
     # closed form: min PT eigenvalue (1 - 3p)/4, verdict flips at p = 1/3
@@ -80,6 +82,17 @@ def test_ppt_tol_must_be_finite_and_non_negative(ppt_tol):
             classify_states(states, (2, d_b), ppt_tol)
         with pytest.raises(ValueError, match="ppt_tol"):
             ppt_verdict(product, ppt_tol)
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classify_rejects_non_finite_states(bad):
+    # before, an all-NaN stack or one inf entry made every row "entangled"
+    for d_b in (2, 3):
+        states = sample_states(EnsembleSpec("hs", 2, d_b, 2 * d_b), RngStream(3, 0), 8)
+        one = states.copy()
+        one[5, 1, 1] = bad
+        for stack in (one, np.full_like(states, bad)):
+            with pytest.raises(NotHermitian, match="NaN or infinite"):
+                classify_states(stack, (2, d_b))
 
 def test_unsupported_dimensions_rejected():
     rho = DensityMatrix(np.eye(9, dtype=complex) / 9, 3, 3)
@@ -112,11 +125,12 @@ def test_classify_matches_per_state_verdicts():
     min_pt = min_pt_eigenvalues(states, (2, 3))
     ranks = audit_ranks(states, (2, 3))
     for i in range(states.shape[0]):
-        v = ppt_verdict(DensityMatrix(states[i], 2, 3))
+        rho = DensityMatrix(states[i], 2, 3)
+        v = ppt_verdict(rho)
         assert v.separable == bool(cls.separable[i])
         assert abs(v.min_pt_eigenvalue - min_pt[i]) <= 1e-15
-        assert v.state_rank == ranks.state[i]
-        assert v.reduced_rank_A == ranks.reduced_A[i]
+        one = audit_ranks(rho.matrix[None], rho.dims)
+        assert (one.state[0], one.reduced_A[0]) == (ranks.state[i], ranks.reduced_A[i])
         b = bloch_vector(DensityMatrix(states[i], 2, 3))
         assert abs(b.radius - cls.bloch_radius[i]) <= 1e-12
 
