@@ -5,8 +5,8 @@ class QsepError(Exception):
     """Base class for all package errors."""
 
 
-class NotHermitian(QsepError):
-    """Input matrix is not Hermitian within tolerance."""
+class NotHermitian(QsepError, ValueError):
+    """Input matrix has a NaN or infinite entry or fails linalg.HERMITICITY_RTOL."""
 
 
 class NoConvergence(QsepError):
@@ -21,8 +21,8 @@ class RankCollapse(QsepError):
     """Sampling met RETRY_LIMIT consecutive irregular attempts (pivot or QR)."""
 
 
-class UnsupportedDimensions(QsepError):
-    """The PPT test is only sound for 2x2 and 2x3 systems."""
+class UnsupportedDimensions(QsepError, ValueError):
+    """Dimensions other than 2x2 and 2x3, where PPT is not conclusive."""
 
 
 class ConfigMismatch(QsepError):

@@ -17,8 +17,9 @@ import numpy as np
 from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 # Relative tolerances, all against the entrywise sup norm or the largest
-# eigenvalue of the input.
-HERMITICITY_RTOL = 1e-10
+# eigenvalue of the input.  HERMITICITY_RTOL is the package's one Hermiticity
+# rule; DensityMatrix.validate gets it from hermitian_eigenvalues.
+HERMITICITY_RTOL = 1e-12
 QR_SINGULAR_RTOL = 1e-12
 RANK_RTOL = 1e-9
 

@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .ensembles import DIMS, DensityMatrix
-from .errors import DimensionMismatch, UnsupportedDimensions
+from .ensembles import DensityMatrix, check_dims
+from .errors import DimensionMismatch
 
 #: States whose partial transpose dips below -PPT_TOL are declared entangled.
 #: Boundary states are measure zero under both ensembles; the tolerance only
@@ -41,9 +41,6 @@ PPT_TOL = 1e-10
 #: product of the U diagonal adds n u |det| < 1e-15.  Measured errors against
 #: the product of ``eigvalsh`` eigenvalues are below 2e-16.
 DET_MARGIN = 1e-12
-
-#: Dimensions where PPT is conclusive: every dimension the package samples.
-PPT_EXACT_DIMS = DIMS
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -121,16 +118,14 @@ def classify_states(states: np.ndarray, dims, ppt_tol: float = PPT_TOL) -> Batch
     * det > DET_MARGIN proves lambda_min > 0 in 2x2.
 
     Every other row (small |det|, or det > 0 in 2x3, where zero or two
-    eigenvalues are negative) gets the eigen-solve.  The transpose is taken
-    on subsystem B; the criterion is side-symmetric.  Raises ValueError
-    unless ``ppt_tol`` is finite and >= 0.
+    eigenvalues are negative) gets the eigen-solve.  So every row's verdict
+    equals lambda_min >= -ppt_tol, the verdict of :func:`ppt_verdict`.  The
+    transpose is taken on subsystem B; the criterion is side-symmetric.
+    Raises ValueError unless ``ppt_tol`` is finite and >= 0 and the dims are
+    2x2 or 2x3 (UnsupportedDimensions).
     """
     check_ppt_tol(ppt_tol)
-    dims = tuple(dims)
-    if dims not in PPT_EXACT_DIMS:
-        raise UnsupportedDimensions(
-            f"PPT is conclusive only for 2x2 and 2x3 systems, got {dims[0]}x{dims[1]}"
-        )
+    dims = check_dims(dims)
     pt = linalg.partial_transpose(states, dims, subsystem="B")
     det = linalg.hermitian_determinant(pt)
     if dims == (2, 2):
@@ -159,12 +154,11 @@ def audit_ranks(states: np.ndarray, dims) -> RankAudit:
 
 
 def ppt_verdict(rho: DensityMatrix, ppt_tol: float = PPT_TOL) -> SeparabilityVerdict:
-    """Classify one 2x2 or 2x3 state, with its minimum PT eigenvalue."""
-    stack = rho.matrix[None]
-    return SeparabilityVerdict(
-        separable=bool(classify_states(stack, rho.dims, ppt_tol).separable[0]),
-        min_pt_eigenvalue=float(min_pt_eigenvalues(stack, rho.dims)[0]),
-    )
+    """Classify one 2x2 or 2x3 state from its minimum PT eigenvalue: one
+    partial transpose and one eigen-solve, the verdict of :func:`classify_states`."""
+    check_ppt_tol(ppt_tol)
+    lam = float(min_pt_eigenvalues(rho.matrix[None], check_dims(rho.dims))[0])
+    return SeparabilityVerdict(separable=lam >= -ppt_tol, min_pt_eigenvalue=lam)
 
 
 def rank_witness(rho: DensityMatrix) -> bool:

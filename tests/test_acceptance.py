@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from qsepmc import linalg
+from qsepmc.cli import SUITE_ROWS
 from qsepmc.ensembles import EnsembleSpec, hs_state, sample_states
 from qsepmc.estimator import (
     BATCH_SIZE,
@@ -38,10 +39,17 @@ from reference_sampler import reference_p_sep
 
 STREAMS = 2
 
+
+def suite_band(key):
+    """(reference, tolerance) of one ``cli.SUITE_ROWS`` row, their one owner."""
+    row = next(r for r in SUITE_ROWS if r.key == key)
+    return row.reference, row.tolerance
+
+
 # (reference, tolerance) of the full-rank 2x2 rows, shared by criteria 1/5
 # and 3/6.
-HS22_FULL_RANK = (0.2424, 0.002)
-BURES22_FULL_RANK = (0.0733, 0.0015)
+HS22_FULL_RANK = suite_band("hs-2x2-rank4")
+BURES22_FULL_RANK = suite_band("bures-2x2-rank4")
 
 # Reference-sampler draws per configuration and its one fixed seed.  At 1M
 # samples the combined standard error of qsepmc and the sampler is about
@@ -115,7 +123,7 @@ def test_criterion_01_hs_2x2_rank4(hs22_r4):
 
 
 def test_criterion_02_hs_2x3_rank6(hs23_r6):
-    _, ok, detail = _value_criterion(2, hs23_r6, 0.0270, 0.0010)
+    _, ok, detail = _value_criterion(2, hs23_r6, *suite_band("hs-2x3-rank6"))
     criterion(2, ok, detail)
 
 
@@ -125,8 +133,9 @@ def test_criterion_03_bures_2x2_rank4(bures22_r4):
 
 
 def test_criterion_04_bures_2x3_rank6(bures23_r6):
-    rep, in_band, detail = _value_criterion(4, bures23_r6, 0.0014, 0.0003)
-    covered = rep.ci95[0] <= 0.0014 <= rep.ci95[1]
+    reference, tolerance = suite_band("bures-2x3-rank6")
+    rep, in_band, detail = _value_criterion(4, bures23_r6, reference, tolerance)
+    covered = rep.ci95[0] <= reference <= rep.ci95[1]
     criterion(4, in_band and covered, detail + f" covered={covered}")
 
 
@@ -150,11 +159,13 @@ def _rank3_against_reference(num, measure, stats, full_rank_band, tolerance, rep
 
 
 def test_criterion_05_hs_2x2_rank3(hs22_r3):
-    _rank3_against_reference(5, "hs", hs22_r3, HS22_FULL_RANK, 0.002, reported=0.1652)
+    reported, _ = suite_band("hs-2x2-rank3")
+    _rank3_against_reference(5, "hs", hs22_r3, HS22_FULL_RANK, 0.002, reported)
 
 
 def test_criterion_06_bures_2x2_rank3(bures22_r3):
-    _rank3_against_reference(6, "bures", bures22_r3, BURES22_FULL_RANK, 0.0015, reported=0.0494)
+    reported, _ = suite_band("bures-2x2-rank3")
+    _rank3_against_reference(6, "bures", bures22_r3, BURES22_FULL_RANK, 0.0015, reported)
 
 
 def test_criterion_07_low_rank_zeros_and_witness():

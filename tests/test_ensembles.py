@@ -60,6 +60,11 @@ def test_spec_fields_must_be_integers():
     spec = EnsembleSpec("bures", np.int64(2), np.uint8(3), np.int32(6))
     assert spec == EnsembleSpec("bures", 2, 3, 6)
     assert all(type(v) is int for v in (spec.d_A, spec.d_B, spec.rank))
+    # sample_states(spec, rng, True) used to run as count 1, and 2.0 raised TypeError
+    for count in (True, 2.0, 0):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            sample_states(spec, RngStream(0, 0), count)
+    assert sample_states(spec, RngStream(0, 0), np.int64(2)).shape == (2, 6, 6)
 
 
 def test_density_matrix_validation():

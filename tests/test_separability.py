@@ -1,8 +1,11 @@
 """PPT verdicts against closed-form oracles, rank witness, Bloch vectors."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from qsepmc import linalg
 from qsepmc.ensembles import DensityMatrix, EnsembleSpec, hs_state, sample_states
 from qsepmc.errors import DimensionMismatch, NotHermitian, UnsupportedDimensions
 from qsepmc.estimator import classify_states
@@ -95,9 +98,55 @@ def test_classify_rejects_non_finite_states(bad):
                 classify_states(stack, (2, d_b))
 
 def test_unsupported_dimensions_rejected():
+    # one dimension rule for the sampler and both verdict paths, and a ValueError
+    assert issubclass(UnsupportedDimensions, ValueError)
     rho = DensityMatrix(np.eye(9, dtype=complex) / 9, 3, 3)
-    with pytest.raises(UnsupportedDimensions):
+    with pytest.raises(UnsupportedDimensions, match="got 3x3"):
         ppt_verdict(rho)
+    with pytest.raises(UnsupportedDimensions, match="got 3x3"):
+        classify_states(rho.matrix[None], rho.dims)
+    with pytest.raises(UnsupportedDimensions, match="got 3x3"):
+        EnsembleSpec("hs", 3, 3, 9)
+
+@pytest.mark.parametrize("rel_defect, rejected", [(1e-11, True), (1e-13, False)])
+def test_one_hermiticity_rule_at_its_boundary(rel_defect, rejected):
+    # linalg.HERMITICITY_RTOL = 1e-12 is the only Hermiticity rule: the one-state
+    # validation, the eigen kernel and the classifier (on the PT, which permutes
+    # entries and so keeps both the defect and the sup norm) all apply it
+    assert issubclass(NotHermitian, ValueError)
+    for d_b in (2, 3):
+        states = sample_states(EnsembleSpec("hs", 2, d_b, 2 * d_b), RngStream(5, 0), 1)
+        states[0, 0, 1] += rel_defect * linalg.max_abs(states)
+        checks = (
+            lambda: DensityMatrix(states[0], 2, d_b).validate(),
+            lambda: linalg.hermitian_eigenvalues(states),
+            lambda: classify_states(states, (2, d_b)),
+        )
+        for check in checks:
+            if rejected:
+                with pytest.raises(NotHermitian, match="hermiticity defect"):
+                    check()
+            else:
+                check()
+
+def test_ppt_verdict_is_one_pass(monkeypatch):
+    # one partial transpose, one Hermiticity scan and one eigen-solve per call
+    calls = Counter()
+
+    def counted(name):
+        kernel = getattr(linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for name in ("partial_transpose", "_require_hermitian", "hermitian_eigenvalues", "hermitian_determinant"):
+        monkeypatch.setattr(linalg, name, counted(name))
+    for rho in (bell_phi_plus(), dm(np.eye(6) / 6, 2, 3)):
+        calls.clear()
+        ppt_verdict(rho)
+        assert calls == {"partial_transpose": 1, "_require_hermitian": 1, "hermitian_eigenvalues": 1}
 
 def test_ppt_necessity_on_product_states():
     # 10^4 random product states must all come out separable
@@ -118,20 +167,23 @@ def test_min_pt_lower_bound_two_qubits():
         states = sample_states(spec, RngStream(77, 0), 5_000)
         assert min_pt_eigenvalues(states, (2, 2)).min() >= -0.5 - 1e-12
 
-def test_classify_matches_per_state_verdicts():
-    spec = EnsembleSpec("bures", 2, 3, 4)
-    states = sample_states(spec, RngStream(88, 0), 100)
-    cls = classify_states(states, (2, 3))
-    min_pt = min_pt_eigenvalues(states, (2, 3))
-    ranks = audit_ranks(states, (2, 3))
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
+def test_classify_matches_per_state_verdicts(spec):
+    # ppt_verdict eigen-solves every state, classify_states mostly takes the
+    # determinant: the two must agree row by row in every ensemble
+    dims = (spec.d_A, spec.d_B)
+    states = sample_states(spec, RngStream(88, 0), 64)
+    cls = classify_states(states, dims)
+    min_pt = min_pt_eigenvalues(states, dims)
+    ranks = audit_ranks(states, dims)
     for i in range(states.shape[0]):
-        rho = DensityMatrix(states[i], 2, 3)
+        rho = DensityMatrix(states[i], *dims)
         v = ppt_verdict(rho)
         assert v.separable == bool(cls.separable[i])
         assert abs(v.min_pt_eigenvalue - min_pt[i]) <= 1e-15
         one = audit_ranks(rho.matrix[None], rho.dims)
         assert (one.state[0], one.reduced_A[0]) == (ranks.state[i], ranks.reduced_A[i])
-        b = bloch_vector(DensityMatrix(states[i], 2, 3))
+        b = bloch_vector(rho)
         assert abs(b.radius - cls.bloch_radius[i]) <= 1e-12
 
 @pytest.mark.parametrize("ppt_tol", [0.0, 1e-10, 1e-3])
@@ -158,6 +210,8 @@ def test_determinant_path_on_werner_boundary():
         cls = classify_states(states, (2, 2), ppt_tol)
         min_pt = min_pt_eigenvalues(states, (2, 2))
         np.testing.assert_array_equal(cls.separable, min_pt >= -ppt_tol)
+        verdicts = [ppt_verdict(werner(p), ppt_tol).separable for p in ps]
+        np.testing.assert_array_equal(verdicts, cls.separable)
         clear = np.abs(np.abs(expected) - ppt_tol) > 1e-14
         np.testing.assert_array_equal(cls.separable[clear], (expected >= -ppt_tol)[clear])
 
