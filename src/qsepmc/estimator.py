@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, sample_states
+from .ensembles import EnsembleSpec, sample_states, uniform_draws_per_sample
 from .errors import ConfigMismatch, EmptyRun, QsepError, RunAborted
 from .rng import RngStream, check_int
 from .separability import PPT_TOL, check_ppt_tol, classify_states
@@ -34,6 +34,12 @@ from .separability import PPT_TOL, check_ppt_tol, classify_states
 #: Samples per batch; one batch = one random stream.  Fixed so that batch
 #: boundaries (and hence every draw) are independent of the worker count.
 BATCH_SIZE = 4096
+
+#: Uniform draws per chunk: a batch is sampled, classified and binned in
+#: chunks of at most ``CHUNK_UNIFORMS // uniform_draws_per_sample(spec)``
+#: states, which bounds a batch's working set (1 MiB of uniforms) without
+#: moving a draw.  HS 2x2 full rank (32 draws per state) is one chunk.
+CHUNK_UNIFORMS = 1 << 17
 
 Z95 = 1.959963984540054
 Z99 = 2.5758293035489004
@@ -123,18 +129,26 @@ def _batch_count(n_samples: int) -> int:
 
 
 def _run_batch_range(config: RunConfig, lo: int, hi: int) -> RunStatistics:
-    """Process batches [lo, hi); private per-worker accumulation."""
+    """Process batches [lo, hi); private per-worker accumulation.
+
+    Each batch's stream is consumed in chunks: ``sample_states`` of ``a``
+    then ``b`` states returns what one call for ``a + b`` returns, so the
+    chunking moves no draw and no verdict.
+    """
     spec = config.spec
     n_bins = config.n_bins
+    chunk = CHUNK_UNIFORMS // uniform_draws_per_sample(spec)
     bin_total = np.zeros(n_bins, dtype=np.int64)
     bin_separable = np.zeros(n_bins, dtype=np.int64)
     for b in range(lo, hi):
+        rng = RngStream(config.seed, stream_id=b)
         count = min(BATCH_SIZE, config.n_samples - b * BATCH_SIZE)
-        states = sample_states(spec, RngStream(config.seed, stream_id=b), count)
-        cls = classify_states(states, (spec.d_A, spec.d_B), config.ppt_tol)
-        idx = bin_index(cls.bloch_radius, n_bins)
-        bin_total += np.bincount(idx, minlength=n_bins)
-        bin_separable += np.bincount(idx[cls.separable], minlength=n_bins)
+        for start in range(0, count, chunk):
+            states = sample_states(spec, rng, min(chunk, count - start))
+            cls = classify_states(states, (spec.d_A, spec.d_B), config.ppt_tol)
+            idx = bin_index(cls.bloch_radius, n_bins)
+            bin_total += np.bincount(idx, minlength=n_bins)
+            bin_separable += np.bincount(idx[cls.separable], minlength=n_bins)
     return RunStatistics(
         bin_total=tuple(bin_total.tolist()),
         bin_separable=tuple(bin_separable.tolist()),

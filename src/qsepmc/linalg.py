@@ -27,12 +27,6 @@ RANK_RTOL = 1e-9
 _QR_LANES = 8
 
 
-def max_abs(m) -> float:
-    """Entrywise sup norm, the reference scale for all relative tolerances."""
-    m = np.asarray(m)
-    return float(np.abs(m).max()) if m.size else 0.0
-
-
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the trailing two axes."""
     return np.conj(np.swapaxes(m, -1, -2))
@@ -46,40 +40,66 @@ def _require_square(m: np.ndarray) -> np.ndarray:
 
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
+    """``m`` as a complex array, unless a slice has a NaN or infinite entry or
+    a Hermiticity defect max|m - m+| above HERMITICITY_RTOL times its own sup
+    norm.
+
+    Each slice is judged against its own scale, so a stack rejects exactly
+    the slices that would be rejected alone.  The exact per-slice rule runs
+    only when a stack-wide bound cannot settle it: an entry of m - m+ has
+    modulus at most sqrt(2) times the larger of its real and imaginary parts,
+    and |tr m| / n is at most the slice's sup norm.  The bound uses 2 for
+    sqrt(2), a margin far above rounding, and is finite only when every entry
+    of m is.
+    """
     m = _require_square(m)
-    scale = max_abs(m)
-    # a NaN defect would pass the comparison below, so check the scale first
-    if not np.isfinite(scale):
+    re, im = m.real, m.imag
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN the bound catches
+        d_re = re - np.swapaxes(re, -1, -2)
+        d_im = im + np.swapaxes(im, -1, -2)
+    bound = 2 * np.maximum(np.abs(d_re).max(initial=0.0), np.abs(d_im).max(initial=0.0))
+    trace_scale = np.abs(np.einsum("...ii->...", m)).min(initial=np.inf) / max(m.shape[-1], 1)
+    if np.isfinite(bound + trace_scale) and bound <= HERMITICITY_RTOL * trace_scale:
+        return m
+    scales = np.abs(m).max(axis=(-2, -1), initial=0.0)
+    # a NaN defect would pass the comparison below, so check the scales first
+    if not np.isfinite(scales).all():
         raise NotHermitian("matrix has a NaN or infinite entry")
-    defect = max_abs(m - adjoint(m))
-    if defect > HERMITICITY_RTOL * max(scale, 1e-300):
+    defects = np.hypot(d_re, d_im).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(defects > HERMITICITY_RTOL * np.maximum(scales, 1e-300))
+    if bad.size:
+        defect, scale = defects.flat[bad[0]], scales.flat[bad[0]]
         raise NotHermitian(
             f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_RTOL:.0e} * {scale:.3e}"
         )
     return m
 
 
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray, check_hermitian: bool = True) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix.
 
     Raises NotHermitian if the input has a NaN or infinite entry or fails
     the hermiticity tolerance, and NoConvergence if the solver gives up.
+    ``check_hermitian=False`` skips that check, for input that has passed
+    it already.
     """
-    m = _require_hermitian(m)
+    if check_hermitian:
+        m = _require_hermitian(m)
     try:
         return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
 
 
-def hermitian_determinant(m: np.ndarray) -> np.ndarray:
+def hermitian_determinant(m: np.ndarray, check_hermitian: bool = True) -> np.ndarray:
     """Real determinant of a Hermitian matrix, by LU with partial pivoting.
 
     The determinant of a Hermitian matrix is real; the rounding-level
     imaginary part of the complex LU result is dropped.  Raises NotHermitian
-    like :func:`hermitian_eigenvalues`.
+    like :func:`hermitian_eigenvalues`, whose ``check_hermitian`` it shares.
     """
-    m = _require_hermitian(m)
+    if check_hermitian:
+        m = _require_hermitian(m)
     return np.linalg.det(m).real
 
 

@@ -42,6 +42,10 @@ PPT_TOL = 1e-10
 #: the product of ``eigvalsh`` eigenvalues are below 2e-16.
 DET_MARGIN = 1e-12
 
+#: Rows and columns of the 2x3 partial transpose's principal 4x4 blocks on
+#: the B-levels {0, 1}, {0, 2} and {1, 2} (flat index i * 3 + mu).
+_QUTRIT_PAIR_BLOCKS = np.array([[a, b, 3 + a, 3 + b] for a, b in ((0, 1), (0, 2), (1, 2))])
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -107,36 +111,51 @@ def classify_states(states: np.ndarray, dims, ppt_tol: float = PPT_TOL) -> Batch
     """PPT verdicts and Bloch radii for a (count, n, n) stack of density matrices.
 
     A row is separable when the smallest eigenvalue of its partial transpose
-    is >= -ppt_tol.  Most rows are decided by the determinant of the partial
-    transpose alone.  Its eigenvalues satisfy |lambda| <= ||rho||_F <= 1, so
-    |det PT| <= |lambda_min|.  A 2x2 PT has at most one negative eigenvalue
+    is >= -ppt_tol.  Most rows are decided by determinants alone.  The PT
+    keeps the Frobenius norm, so its eigenvalues, and those of each of its
+    principal blocks, have modulus at most ||rho||_F <= 1; hence the
+    determinant of the PT or of such a block is at most its smallest
+    eigenvalue in modulus.  A 2x2 PT has at most one negative eigenvalue
     (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998) and a 2x3 PT at most two
     (Rana, PRA 87, 054301, 2013).  Hence, with DET_MARGIN bounding the
-    determinant's rounding error:
+    determinant's rounding error (its n = 6 derivation covers n = 4):
 
     * det < -(ppt_tol + DET_MARGIN) proves lambda_min < -ppt_tol (2x2, 2x3);
-    * det > DET_MARGIN proves lambda_min > 0 in 2x2.
+    * det > DET_MARGIN proves lambda_min > 0 in 2x2;
+    * in 2x3, a principal 4x4 block on the B-levels {0, 1}, {0, 2} or
+      {1, 2} with det < -(ppt_tol + DET_MARGIN) has an eigenvalue below
+      -ppt_tol, and by Cauchy interlacing lambda_min(PT) <= lambda_min(block),
+      so the row is entangled.  This decides most entangled 2x3 rows with
+      det PT > 0 (two negative eigenvalues), which the PT's own determinant
+      cannot.
 
-    Every other row (small |det|, or det > 0 in 2x3, where zero or two
-    eigenvalues are negative) gets the eigen-solve.  So every row's verdict
-    equals lambda_min >= -ppt_tol, the verdict of :func:`ppt_verdict`.  The
-    transpose is taken on subsystem B; the criterion is side-symmetric.
-    Raises ValueError unless ``ppt_tol`` is finite and >= 0 and the dims are
-    2x2 or 2x3 (UnsupportedDimensions).
+    Every other row (small |det|, or a 2x3 row no block decides) gets the
+    eigen-solve.  So every row's verdict equals lambda_min >= -ppt_tol, the
+    verdict of :func:`ppt_verdict`.  The transpose is taken on subsystem B;
+    the criterion is side-symmetric.  The PT's Hermiticity is checked once,
+    by the determinant; the blocks and the eigen-solve reuse it.  Raises
+    ValueError unless ``ppt_tol`` is finite and >= 0 and the dims are 2x2 or
+    2x3 (UnsupportedDimensions).
     """
     check_ppt_tol(ppt_tol)
     dims = check_dims(dims)
+    entangled_below = -(ppt_tol + DET_MARGIN)
     pt = linalg.partial_transpose(states, dims, subsystem="B")
     det = linalg.hermitian_determinant(pt)
     if dims == (2, 2):
         separable = det > DET_MARGIN
     else:
         separable = np.zeros(det.shape, dtype=bool)
-    undecided = ~separable & (det >= -(ppt_tol + DET_MARGIN))
+    rows = np.flatnonzero(~separable & (det >= entangled_below))
+    if dims == (2, 3) and rows.size:
+        idx = _QUTRIT_PAIR_BLOCKS
+        blocks = pt[rows[:, None, None, None], idx[:, :, None], idx[:, None, :]]
+        block_det = linalg.hermitian_determinant(blocks, check_hermitian=False)
+        rows = rows[(block_det >= entangled_below).all(axis=1)]
     min_pt = np.full(det.shape, np.nan)
-    if undecided.any():
-        min_pt[undecided] = linalg.hermitian_eigenvalues(pt[undecided])[:, 0]
-        separable[undecided] = min_pt[undecided] >= -ppt_tol
+    if rows.size:
+        min_pt[rows] = linalg.hermitian_eigenvalues(pt[rows], check_hermitian=False)[:, 0]
+        separable[rows] = min_pt[rows] >= -ppt_tol
     return BatchClassification(
         separable=separable,
         min_pt_eigenvalue=min_pt,

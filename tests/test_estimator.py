@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsepmc import estimator, linalg
-from qsepmc.ensembles import EnsembleSpec
+from qsepmc.ensembles import EnsembleSpec, sample_states, uniform_draws_per_sample
 from qsepmc.errors import ConfigMismatch, EmptyRun, RankCollapse, RunAborted
 from qsepmc.estimator import (
     BATCH_SIZE,
@@ -23,12 +24,15 @@ from qsepmc.estimator import (
     _run_batch_range,
     bin_flatness_violations,
     bin_index,
+    classify_states,
     merge,
     report,
     run,
     wilson_interval,
     zero_statistics,
 )
+from qsepmc.rng import RngStream
+from test_ensembles import _count_irregular, _force, spec_id
 
 HS22 = EnsembleSpec("hs", 2, 2, 4)
 
@@ -234,6 +238,89 @@ def test_worker_partials_merge_to_full_run():
     for p in partials:
         acc = merge(acc, p)
     assert counters(acc) == counters(run(config))
+
+
+# (spec, forcing): HS 2x2 full rank, and two 2x3 specs with and without
+# frequent irregular attempts
+CHUNK_CASES = [
+    (HS22, ""),
+    (EnsembleSpec("bures", 2, 3, 6), ""),
+    (EnsembleSpec("bures", 2, 3, 6), "qr"),
+    (EnsembleSpec("hs", 2, 3, 3), ""),
+    (EnsembleSpec("hs", 2, 3, 3), "pivot"),
+]
+
+
+@pytest.mark.parametrize("n_samples", [1, BATCH_SIZE, BATCH_SIZE + 17])
+@pytest.mark.parametrize(
+    "spec,force", CHUNK_CASES, ids=[f"{spec_id(s)}-{f or 'plain'}" for s, f in CHUNK_CASES]
+)
+def test_chunked_batches_match_one_call(monkeypatch, spec, force, n_samples):
+    # 7-state chunks of each batch's stream give the counters of one
+    # sample_states call per batch, also when irregular attempts are dropped
+    # at the start of a chunk
+    _force(monkeypatch, force)
+    irregular = _count_irregular(monkeypatch)
+    monkeypatch.setattr(estimator, "CHUNK_UNIFORMS", 7 * uniform_draws_per_sample(spec))
+    sampler = estimator.sample_states
+    chunk_starts_irregular = []
+
+    def spy(spec, rng, count):
+        # each case runs at most one regularity test per round, so the
+        # first record a call adds lists its first round's irregular attempts
+        first_round = len(irregular)
+        states = sampler(spec, rng, count)
+        assert count <= 7
+        chunk_starts_irregular.append(first_round < len(irregular) and 0 in irregular[first_round])
+        return states
+
+    monkeypatch.setattr(estimator, "sample_states", spy)
+    config = small_config(spec=spec, n_samples=n_samples, seed=23)
+    nb = _batch_count(n_samples)
+    chunked = _run_batch_range(config, 0, nb)
+    counts = [min(BATCH_SIZE, n_samples - b * BATCH_SIZE) for b in range(nb)]
+    assert len(chunk_starts_irregular) == sum(math.ceil(count / 7) for count in counts)
+    if force and n_samples > 1:
+        assert any(chunk_starts_irregular)
+
+    bin_total = np.zeros(config.n_bins, dtype=np.int64)
+    bin_separable = np.zeros(config.n_bins, dtype=np.int64)
+    for b, count in enumerate(counts):
+        states = sample_states(spec, RngStream(config.seed, b), count)
+        cls = classify_states(states, (spec.d_A, spec.d_B), config.ppt_tol)
+        idx = bin_index(cls.bloch_radius, config.n_bins)
+        bin_total += np.bincount(idx, minlength=config.n_bins)
+        bin_separable += np.bincount(idx[cls.separable], minlength=config.n_bins)
+    assert chunked.bin_total == tuple(bin_total.tolist())
+    assert chunked.bin_separable == tuple(bin_separable.tolist())
+
+
+def test_full_rank_hs22_batch_is_one_chunk(monkeypatch):
+    calls = []
+    sampler = estimator.sample_states
+
+    def spy(spec, rng, count):
+        calls.append((rng.stream_id, count))
+        return sampler(spec, rng, count)
+
+    monkeypatch.setattr(estimator, "sample_states", spy)
+    run(small_config(n_samples=3 * BATCH_SIZE + 17))
+    assert calls == [(0, BATCH_SIZE), (1, BATCH_SIZE), (2, BATCH_SIZE), (3, 17)]
+
+
+def test_bures23_batch_memory_bound():
+    # one full-rank Bures 2x3 batch peaked at 15.75 MiB of numpy allocations
+    # in one piece; in byte-bounded chunks it stays near 4 MiB
+    config = small_config(spec=EnsembleSpec("bures", 2, 3, 6), n_samples=BATCH_SIZE)
+    _run_batch_range(config, 0, 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _run_batch_range(config, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_run_aborts_with_invalid_partial(monkeypatch):

@@ -80,6 +80,59 @@ def test_eigen_rejects_non_hermitian():
         linalg.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+def per_slice_hermiticity_rejects(stack):
+    """Reference rule, one slice at a time: a non-finite entry, or a defect
+    above HERMITICITY_RTOL times the slice's own sup norm."""
+    for m in stack.reshape((-1,) + stack.shape[-2:]):
+        scale = np.abs(m).max(initial=0.0)
+        if not np.isfinite(scale):
+            return True
+        if np.abs(m - m.conj().T).max(initial=0.0) > linalg.HERMITICITY_RTOL * max(scale, 1e-300):
+            return True
+    return False
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 4, 6]),
+    rows=st.integers(1, 4),
+    exponents=st.lists(st.integers(-200, 200), min_size=4, max_size=4),
+    kind=st.sampled_from(["hermitian", "traceless", "density"]),
+    defect=st.sampled_from([0.0, 1e-14, 5e-13, 0.9e-12, 1.1e-12, 5e-12, 1e-6]),
+    part=st.sampled_from([1.0, 1j, (1 + 1j) / np.sqrt(2)]),
+    diagonal=st.booleans(),
+    poison=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+)
+@settings(max_examples=300)
+def test_hermiticity_rule_matches_per_slice_reference(
+    seed, n, rows, exponents, kind, defect, part, diagonal, poison
+):
+    # the stack-wide shortcut must reach the per-slice rule's verdict on
+    # slices of any scale, traceless and unit-trace ones, and non-finite
+    # real or imaginary parts, on or off the diagonal
+    g = np.random.default_rng(seed)
+    if kind == "density":
+        z = np.stack([random_complex(seed + i, n) for i in range(rows)])
+        stack = z @ z.conj().swapaxes(-1, -2)
+        stack /= np.trace(stack, axis1=-2, axis2=-1)[:, None, None]
+    else:
+        stack = np.stack([random_hermitian(seed + i, n) for i in range(rows)])
+    if kind == "traceless":
+        stack -= np.trace(stack, axis1=-2, axis2=-1)[:, None, None] * np.eye(n) / n
+    stack *= 10.0 ** np.array(exponents[:rows], dtype=float)[:, None, None]
+    i, j = g.integers(rows), g.integers(n)
+    k = j if diagonal else (j + 1) % n
+    stack[i, j, k] += part * defect * np.abs(stack[i]).max()
+    if poison is not None:
+        (stack.real if part == 1.0 else stack.imag)[i, k, j] = poison
+    if per_slice_hermiticity_rejects(stack):
+        match = "NaN or infinite" if poison is not None else "hermiticity defect"
+        with pytest.raises(NotHermitian, match=match):
+            linalg._require_hermitian(stack)
+    else:
+        linalg._require_hermitian(stack)
+
+
 def test_eigen_wraps_solver_failure(monkeypatch):
     def boom(_):
         raise np.linalg.LinAlgError("did not converge")
@@ -133,7 +186,7 @@ def test_qr_unitary_identity_fixed_point():
 def test_qr_unitary_is_unitary(seed, n):
     q, regular = linalg.qr_unitary_rows(random_complex(seed, n))
     assert regular
-    assert linalg.max_abs(q.conj().T @ q - np.eye(n)) <= 1e-10
+    assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-10
     assert abs(abs(np.linalg.det(q)) - 1.0) <= 1e-10
 
 
@@ -319,7 +372,7 @@ def test_pt_involution_trace_hermiticity(seed, sub, dims):
     pt = linalg.partial_transpose(m, dims, subsystem=sub)
     assert np.array_equal(linalg.partial_transpose(pt, dims, subsystem=sub), m)
     assert abs(np.trace(pt) - np.trace(m)) <= 1e-14
-    assert linalg.max_abs(pt - linalg.adjoint(pt)) <= 1e-14
+    assert np.abs(pt - linalg.adjoint(pt)).max() <= 1e-14
 
 
 def test_pt_dimension_mismatch():

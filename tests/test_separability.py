@@ -116,7 +116,7 @@ def test_one_hermiticity_rule_at_its_boundary(rel_defect, rejected):
     assert issubclass(NotHermitian, ValueError)
     for d_b in (2, 3):
         states = sample_states(EnsembleSpec("hs", 2, d_b, 2 * d_b), RngStream(5, 0), 1)
-        states[0, 0, 1] += rel_defect * linalg.max_abs(states)
+        states[0, 0, 1] += rel_defect * np.abs(states).max()
         checks = (
             lambda: DensityMatrix(states[0], 2, d_b).validate(),
             lambda: linalg.hermitian_eigenvalues(states),
@@ -128,6 +128,37 @@ def test_one_hermiticity_rule_at_its_boundary(rel_defect, rejected):
                     check()
             else:
                 check()
+
+@pytest.mark.parametrize("part", [1.0, 1j, (1 + 1j) / np.sqrt(2)])
+def test_hermiticity_judged_per_row(part):
+    # eye(6)/6 with a defect of 5e-12 of its own sup norm is rejected alone;
+    # stacked with a pure state of sup norm 1 it used to pass, judged against
+    # the stack's sup norm
+    def mixed(rel_defect):
+        m = np.eye(6, dtype=complex) / 6
+        m[0, 1] += part * rel_defect / 6
+        return m
+
+    with pytest.raises(NotHermitian, match="hermiticity defect"):
+        DensityMatrix(mixed(5e-12), 2, 3).validate()
+    pure = np.zeros((6, 6), dtype=complex)
+    pure[0, 0] = 1
+    stack = np.stack([pure, mixed(5e-12)])
+    checks = (
+        lambda: classify_states(stack, (2, 3)),
+        lambda: linalg.hermitian_eigenvalues(stack),
+        lambda: linalg.hermitian_determinant(stack),
+    )
+    for check in checks:
+        with pytest.raises(NotHermitian, match="hermiticity defect 8.333e-13 exceeds 1e-12 \\* 1.667e-01"):
+            check()
+    classify_states(stack[:1], (2, 3))
+    # just above and below the rule: the unit trace is six times the sup
+    # norm, which the stack-wide shortcut must not take for it
+    with pytest.raises(NotHermitian, match="hermiticity defect"):
+        linalg.hermitian_eigenvalues(mixed(1.1e-12))
+    linalg.hermitian_eigenvalues(mixed(0.9e-12))
+
 
 def test_ppt_verdict_is_one_pass(monkeypatch):
     # one partial transpose, one Hermiticity scan and one eigen-solve per call
@@ -198,6 +229,12 @@ def test_determinant_verdicts_match_eigen_kernel(spec, ppt_tol):
     np.testing.assert_array_equal(cls.separable, min_pt >= -ppt_tol)
     solved = ~np.isnan(cls.min_pt_eigenvalue)
     np.testing.assert_array_equal(cls.min_pt_eigenvalue[solved], min_pt[solved])
+    if spec.d_B == 3 and spec.rank <= 3 and ppt_tol <= PPT_TOL:
+        # every such state is entangled, and the PT's 4x4 principal blocks
+        # decide it: all rows at ranks 1-2, all but at most 1e-3 at rank 3,
+        # where a few rows have block determinants within the margin
+        assert not cls.separable.any()
+        assert solved.sum() <= (0 if spec.rank < 3 else 1e-3 * states.shape[0])
 
 def test_determinant_path_on_werner_boundary():
     # min PT eigenvalue (1 - 3p)/4 crosses -ppt_tol within 1e-12..1e-6 of
@@ -214,6 +251,27 @@ def test_determinant_path_on_werner_boundary():
         np.testing.assert_array_equal(verdicts, cls.separable)
         clear = np.abs(np.abs(expected) - ppt_tol) > 1e-14
         np.testing.assert_array_equal(cls.separable[clear], (expected >= -ppt_tol)[clear])
+
+def test_block_shortcut_on_qubit_qutrit_boundary():
+    # p |phi+><phi+| + (1 - p) I/6 with phi+ = (|00> + |11>)/sqrt(2): its PT
+    # has the one negative eigenvalue (1 - 4p)/6, so det PT is negative but
+    # tiny near p = 1/4, and the block on B-levels {0, 1} holds that
+    # eigenvalue.  A block determinant between -ppt_tol and 0 must not
+    # decide the row.
+    phi = np.zeros(6)
+    phi[[0, 4]] = 1 / np.sqrt(2)
+    offsets = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.1])
+    ps = np.concatenate([1 / 4 - offsets, [1 / 4], 1 / 4 + offsets, [0.0, 1.0]])
+    states = np.stack([p * np.outer(phi, phi) + (1 - p) * np.eye(6) / 6 for p in ps]).astype(complex)
+    expected = (1.0 - 4.0 * ps) / 6.0
+    min_pt = min_pt_eigenvalues(states, (2, 3))
+    np.testing.assert_allclose(min_pt, expected, rtol=0, atol=1e-15)
+    for ppt_tol in (0.0, PPT_TOL, 1e-9, 1e-3):
+        cls = classify_states(states, (2, 3), ppt_tol)
+        np.testing.assert_array_equal(cls.separable, min_pt >= -ppt_tol)
+        clear = np.abs(np.abs(expected) - ppt_tol) > 1e-14
+        np.testing.assert_array_equal(cls.separable[clear], (expected >= -ppt_tol)[clear])
+
 
 # ------------------------------------------------------------ rank witness
 
